@@ -22,7 +22,7 @@ from .grouping import (
     GroupingResult,
     group_functions,
 )
-from .master_engine import HyperFlowServerlessSystem, static_critical_exec
+from .master_engine import HyperFlowServerlessSystem
 from .monolithic import MonolithicSystem
 from .reclamation import (
     MemoryUsageHistory,
@@ -39,6 +39,7 @@ from .scheduler import (
     update_edge_weights,
 )
 from .switching import is_skipped, selected_case
+from .system import WorkflowSystem, static_critical_exec
 from .tracing import Kind, TraceEvent, Tracer
 from .state import (
     FunctionInfo,
@@ -52,7 +53,15 @@ from .state import (
 )
 from .worker_engine import FaaSFlowSystem, WorkerEngine
 
+# Engine names accepted by the CLIs and experiments -> system class.
+ENGINES: dict[str, type[WorkflowSystem]] = {
+    "worker": FaaSFlowSystem,
+    "master": HyperFlowServerlessSystem,
+    "dataflow": DataflowSystem,
+}
+
 __all__ = [
+    "ENGINES",
     "DataPolicy",
     "DataflowEngine",
     "DataflowSystem",
@@ -103,5 +112,6 @@ __all__ = [
     "update_edge_weights",
     "WorkerEngine",
     "WorkflowStructure",
+    "WorkflowSystem",
     "workflow_quota",
 ]

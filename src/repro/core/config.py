@@ -23,7 +23,7 @@ _KB = 1024.0
 
 @dataclass
 class EngineConfig:
-    """Knobs shared by the MasterSP and WorkerSP implementations."""
+    """Knobs shared by the MasterSP, WorkerSP and DataflowSP engines."""
 
     # MasterSP: the central engine handles every state transition and
     # task dispatch in one serialized event loop (HyperFlow's enactment

@@ -22,23 +22,22 @@ see PAPERS.md) go one level further and both beat it the same way:
 
 The engine itself is :class:`~.worker_engine.WorkerEngine` minus the
 lock plus the shipping: deployment compiles the same indexed dispatch
-tables (ISSUE 10) — including a precompiled per-producer ship plan —
-and only the trigger paradigm (lock-free token step), the wire-level
-labels, and the eager pushes differ.  Everything below the trigger
-paradigm — containers, retries, straggler watchdogs, cancellation,
-spans, telemetry — is the same substrate the other two engines use,
-which is what makes the three-way comparison
-(`faasflow-experiment fig12/fig13/dataflow`) apples-to-apples.
+tables — including a precompiled per-producer ship plan — tokens travel
+the same fan-out groups as state updates, and only the trigger paradigm
+(lock-free token step), the wire-level labels, and the eager pushes
+differ.  Everything below the trigger paradigm — containers, retries,
+straggler watchdogs, cancellation, spans, telemetry — is the same
+substrate the other two engines use, which is what makes the
+three-way comparison (`faasflow-experiment fig12/fig13/dataflow`)
+apples-to-apples.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from ..obs.spans import SpanKind
 from ..sim import Node
 from .state import InvocationID, WorkflowStructure
-from .tracing import Kind
 from .worker_engine import FaaSFlowSystem, WorkerEngine, _FnDispatch
 
 __all__ = ["DataflowEngine", "DataflowSystem"]
@@ -54,14 +53,17 @@ class DataflowEngine(WorkerEngine):
     ``dataflow_trigger_time`` of handling cost.
     """
 
+    # A dataflow token is a state update by another name: one finished
+    # predecessor notifying one consumer function.  Received tokens
+    # count in ``states_synced``.
     _run_prefix = "dataflow"
     _local_notify_prefix = "token"
     _remote_notify_prefix = "token"
-    _state_tag_prefix = "token"
+    _sync_role = "token"
+    _trace_note = "token "
 
     def __init__(self, system: "DataflowSystem", node: Node):
         super().__init__(system, node)
-        self.tokens_received = 0  # cross-worker dataflow tokens received
         self.pushes_started = 0  # eager chunk pushes spawned
 
     # -- deployment ---------------------------------------------------------
@@ -122,11 +124,6 @@ class DataflowEngine(WorkerEngine):
         self.events_handled += 1
         self.busy_time += self.system.config.dataflow_trigger_time
 
-    # A dataflow token is a state update by another name: one finished
-    # predecessor notifying one consumer function.
-    receive_token = WorkerEngine.receive_state_update
-    receive_tokens = WorkerEngine.receive_state_updates
-
     # -- local execution -----------------------------------------------------
     def _propagate(
         self,
@@ -177,108 +174,6 @@ class DataflowEngine(WorkerEngine):
                     name=push_names[chunk],
                 )
                 self.pushes_started += 1
-
-    def _notify_remote(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        item: tuple,
-    ) -> Generator:
-        remote_engine, dest_structure, dest_entry, _, tag = item
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size,
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entry.name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="token",
-                dst=remote_engine.node.name,
-            )
-        remote_engine.tokens_received += 1
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=dest_entry.name, node=remote_engine.node.name,
-                detail=f"token from {self.node.name}",
-            )
-        if remote_engine.down:
-            remote_engine._deferred.append(
-                (
-                    "update", structure.workflow, structure.version,
-                    invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from remote_engine._engine_step()
-        remote_engine._apply_state_update(
-            dest_structure, dest_entry, invocation_id
-        )
-
-    def _notify_remote_batch(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        batch: tuple,
-    ) -> Generator:
-        """Batched token fan-out: one transfer, one batch of handling."""
-        remote_engine, dest_structure, dest_entries, _, joined, _, tag = batch
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size * len(dest_entries),
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entries[0].name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="token-batch",
-                dst=remote_engine.node.name,
-                batch=len(dest_entries),
-            )
-        remote_engine.tokens_received += len(dest_entries)
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=joined, node=remote_engine.node.name,
-                detail=f"token batch from {self.node.name}",
-            )
-        if remote_engine.down:
-            for dest_entry in dest_entries:
-                remote_engine._deferred.append(
-                    (
-                        "update", structure.workflow, structure.version,
-                        invocation_id, dest_entry.name,
-                    )
-                )
-            return
-        yield from remote_engine._engine_step()
-        for dest_entry in dest_entries:
-            remote_engine._apply_state_update(
-                dest_structure, dest_entry, invocation_id
-            )
 
 
 class DataflowSystem(FaaSFlowSystem):

@@ -13,10 +13,12 @@ here is what lets Fig. 4 / Fig. 11 be regenerated.
 Like the distributed engines (ISSUE 10), registration compiles the
 workflow once into per-function dispatch entries (:class:`_MasterFn`):
 dense indices, pre-resolved worker nodes, and precomputed process
-names/tags.  Per-invocation state is two flat arrays local to the
-invoke process — created in O(functions), freed by the invoke's own
-exit — so the master's memory is O(in-flight), and the hot path does
-no DAG walks, placement lookups, or string formatting.
+names/tags.  Per-invocation trigger state is two flat arrays local to
+the invoke process — created in O(functions), freed by the invoke's own
+exit — so the master's memory is O(in-flight), and the hot path does no
+DAG walks, placement lookups, or string formatting.  The client-side
+lifecycle (record, watchdog, teardown) is the shared
+:class:`~.system.WorkflowSystem` one.
 """
 
 from __future__ import annotations
@@ -24,14 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..dag import WorkflowDAG, critical_path
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-)
+from ..dag import WorkflowDAG
+from ..metrics import MetricsCollector
 from ..obs.spans import SpanKind
-from ..obs.telemetry import record_invocation_metrics
 from ..sim import Cluster, Node, Resource
 from .config import EngineConfig
 from .faastore import DataPolicy, RemoteStorePolicy
@@ -40,23 +37,14 @@ from .faults import (
     CancelKind,
     FaultInjector,
     FunctionFailure,
-    ProcessRegistry,
     TaskCancelled,
 )
-from .runtime import FunctionRuntime
 from .switching import is_skipped
-from .state import (
-    InvocationID,
-    Placement,
-    new_invocation_id,
-)
+from .state import Placement
+from .system import WorkflowSystem, static_critical_exec
 from .tracing import Kind, Tracer
 
 __all__ = ["HyperFlowServerlessSystem"]
-
-# Sentinel carried by an invocation's ``done`` event when the
-# execution-timeout watchdog (not task completion or failure) fired it.
-_TIMED_OUT = object()
 
 
 class _MasterFn:
@@ -84,25 +72,15 @@ class _RegisteredWorkflow:
     fns: dict = field(default_factory=dict)  # name -> _MasterFn
     sources: tuple = ()
     total: int = 0
+    sink_count: int = 0
 
 
-def static_critical_exec(dag: WorkflowDAG) -> float:
-    """Execution time of the critical path's function nodes (§2.3).
-
-    Edge weights are zeroed: the metric deducts only *execution* time,
-    so whatever transmission/scheduling remains in the end-to-end
-    latency is counted as overhead.
-    """
-    stripped = dag.copy()
-    for edge in stripped.edges:
-        edge.weight = 0.0
-    return critical_path(stripped).length
-
-
-class HyperFlowServerlessSystem:
+class HyperFlowServerlessSystem(WorkflowSystem):
     """The MasterSP workflow system: central engine + worker executors."""
 
     mode = "master-sp"
+    engine_label = "master-sp"
+    default_policy = RemoteStorePolicy
 
     def __init__(
         self,
@@ -114,20 +92,8 @@ class HyperFlowServerlessSystem:
         tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.config = config or EngineConfig()
-        self.tracer = tracer
-        self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        if self.spans.enabled:
-            self.metrics.spans = self.spans
-        self.policy = policy or RemoteStorePolicy(cluster, self.metrics)
-        self.registry = ProcessRegistry()
-        self.runtime = FunctionRuntime(
-            cluster, self.config, self.policy, faults=faults,
-            registry=self.registry,
+        super().__init__(
+            cluster, config, policy, metrics, tracer=tracer, faults=faults
         )
         # The paper deploys the central engine next to the invocation
         # generator and storage; we host it on the storage node.
@@ -137,11 +103,6 @@ class HyperFlowServerlessSystem:
         self.messages_sent = 0
         self.events_handled = 0
         self.busy_time = 0.0
-        self.node_crashes = 0
-        # Serving-lifecycle gauges (see the soak tests): current and
-        # peak concurrent invocations.
-        self.in_flight = 0
-        self.peak_in_flight = 0
 
     # -- registration -----------------------------------------------------
     def register(self, dag: WorkflowDAG, placement: Placement) -> None:
@@ -175,6 +136,7 @@ class HyperFlowServerlessSystem:
         registered.fns = fns
         registered.sources = tuple(fns[s] for s in dag.sources())
         registered.total = len(names)
+        registered.sink_count = len(dag.sinks())
         self._workflows[dag.name] = registered
 
     def registered(self, workflow: str) -> _RegisteredWorkflow:
@@ -188,121 +150,27 @@ class HyperFlowServerlessSystem:
         """Simulation process: one end-to-end invocation.
 
         Returns the :class:`InvocationRecord` (also stored in metrics).
-        Per-invocation state is two arrays owned by this process —
-        nothing is retained after the record is finalized, so the
-        master's live state is O(in-flight invocations).
+        Per-invocation trigger state is two arrays owned by this
+        process, so the master's live state is O(in-flight invocations).
         """
         registered = self.registered(workflow)
-        invocation_id = new_invocation_id()
-        env = self.env
-        record = InvocationRecord(
-            workflow=workflow,
-            invocation_id=invocation_id,
-            mode=self.mode,
-            started_at=env.now,
-            critical_path_exec=registered.critical_exec,
+        context = self._open(
+            workflow, registered.critical_exec, registered.sink_count
         )
+        invocation_id = context.record.invocation_id
         preds_done = [0] * registered.total
         triggered = bytearray(registered.total)
-        # done fires on the last completion *or* the first failure;
-        # failure[0] records the failing error so the failure outcome
-        # wins when both land in the same timestep.
-        done = env.event()
-        failure: list = [None]
-        remaining = [registered.total]
-        shared = (
-            registered, invocation_id, preds_done, triggered,
-            remaining, done, failure, record,
-        )
-        self.in_flight += 1
-        if self.in_flight > self.peak_in_flight:
-            self.peak_in_flight = self.in_flight
-
-        if self.tracer is not None:
-            self.trace(Kind.INVOCATION_START, workflow, invocation_id)
-        if self.spans.enabled:
-            self.spans.start_invocation(
-                invocation_id, workflow=workflow, mode=self.mode
-            )
+        shared = (registered, preds_done, triggered, context)
         for fn in registered.sources:
             triggered[fn.index] = 1
             # Task coordinators live on the master, not on any worker:
             # they survive worker crashes (the runtime retries under
             # them) and die only with the invocation.
-            proc = env.process(self._run_task(fn, shared), name=fn.spawn_name)
-            self.registry.register(proc, invocation_id)
-
-        timeout = env.timeout(self.config.execution_timeout)
-
-        def _deadline(_event, _done=done):
-            # Watchdog callback: a pending invocation times out at the
-            # deadline.  Firing ``done`` with the sentinel lets this
-            # process wait on one event instead of an any_of condition.
-            if not _done.triggered:
-                _done.succeed(_TIMED_OUT)
-
-        timeout.callbacks.append(_deadline)
-        yield done
-        # Failure first: if the last task's completion and a failure
-        # land in the same timestep, the invocation failed.
-        if failure[0] is not None:
-            record.status = InvocationStatus.FAILED
-            record.finished_at = env.now
-        elif done.value is _TIMED_OUT:
-            record.status = InvocationStatus.TIMEOUT
-            record.finished_at = record.started_at + self.config.execution_timeout
-        else:
-            record.finished_at = env.now
-        if not timeout.processed:
-            # Don't leave a live 60-second timer per finished invocation
-            # in the kernel heap.
-            timeout.cancel()
-        if record.status != InvocationStatus.OK:
-            cancelled = self.registry.cancel_invocation(
-                invocation_id,
-                CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
+            self.spawn_registered(
+                self._run_task(fn, shared), invocation_id, name=fn.spawn_name
             )
-            if cancelled:
-                self.trace(
-                    Kind.CANCELLED, workflow, invocation_id,
-                    detail=f"{cancelled} process(es)",
-                )
-        self.registry.release_invocation(invocation_id)
-        self.policy.cleanup_invocation(registered.dag, invocation_id)
-        self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.tenant_of(workflow), self.mode
-            )
-        if self.tracer is not None:
-            self.trace(
-                Kind.INVOCATION_END, workflow, invocation_id,
-                detail=record.status,
-            )
-        if self.spans.enabled:
-            root = self.spans.root_of(invocation_id)
-            if root is not None:
-                self.spans.end(root, status=record.status)
-        self.in_flight -= 1
-        return record
-
-    def tenant_of(self, workflow: str) -> str:
-        """Telemetry tenant label for one workflow's invocations."""
-        tenants = getattr(self, "_tenants", None)
-        if tenants is not None:
-            return tenants.get(workflow, self.config.tenant)
-        return self.config.tenant
-
-    def set_tenants(self, tenants: dict[str, str]) -> None:
-        self._tenants = dict(tenants)
-
-    def trace(self, kind: str, workflow: str, invocation_id: InvocationID,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )
+        yield from self._watch(context)
+        return self._close(context, registered.dag)
 
     # -- internals -------------------------------------------------------
     def _engine_step(self) -> Generator:
@@ -316,10 +184,9 @@ class HyperFlowServerlessSystem:
             self.busy_time += self.config.master_process_time
 
     def _run_task(self, fn: _MasterFn, shared: tuple) -> Generator:
-        (
-            registered, invocation_id, preds_done, triggered,
-            remaining, done, failure, record,
-        ) = shared
+        registered, preds_done, triggered, context = shared
+        record = context.record
+        invocation_id = record.invocation_id
         dag = registered.dag
         skipped = (
             self.config.evaluate_switches
@@ -371,10 +238,7 @@ class HyperFlowServerlessSystem:
                     version=registered.placement.version,
                 )
             except FunctionFailure as error:
-                if failure[0] is None:
-                    failure[0] = error
-                    if not done.triggered:
-                        done.succeed()
+                self.invocation_failed(dag.name, invocation_id, error)
                 return
             except TaskCancelled:
                 return
@@ -415,10 +279,9 @@ class HyperFlowServerlessSystem:
                 function=fn.name,
                 node="" if fn.worker is None else fn.worker.name,
             )
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            if failure[0] is None and not done.triggered:
-                done.succeed()
+        if not fn.successors:
+            # The last sink to complete is the last task of all.
+            self.sink_completed(dag.name, invocation_id)
             return
         for successor in fn.successors:
             index = successor.index
@@ -426,11 +289,11 @@ class HyperFlowServerlessSystem:
             preds_done[index] = count
             if not triggered[index] and count >= successor.preds_count:
                 triggered[index] = 1
-                proc = self.env.process(
+                self.spawn_registered(
                     self._run_task(successor, shared),
+                    invocation_id,
                     name=successor.spawn_name,
                 )
-                self.registry.register(proc, invocation_id)
 
     # -- fault hooks (called by FaultDriver) ----------------------------------
     def on_node_crash(self, node_name: str) -> None:

@@ -25,8 +25,8 @@ from ..metrics import (
 )
 from ..obs.spans import SpanKind
 from ..sim import Cluster, Node
-from .master_engine import static_critical_exec
 from .state import InvocationState, new_invocation_id
+from .system import static_critical_exec
 from .tracing import Kind, Tracer
 
 __all__ = ["MonolithicSystem"]
@@ -52,11 +52,12 @@ class MonolithicSystem:
         self.spans = cluster.spans
         if self.spans.enabled:
             self.metrics.spans = self.spans
-        self._workflows: dict[str, WorkflowDAG] = {}
+        # name -> (DAG, its critical-path execution time).
+        self._workflows: dict[str, tuple[WorkflowDAG, float]] = {}
 
     def register(self, dag: WorkflowDAG) -> None:
         dag.validate()
-        self._workflows[dag.name] = dag
+        self._workflows[dag.name] = (dag, static_critical_exec(dag))
 
     def trace(self, kind: str, workflow: str, invocation_id: str,
               function: str = "", node: str = "", detail: str = "") -> None:
@@ -68,14 +69,14 @@ class MonolithicSystem:
 
     def invoke(self, workflow: str) -> Generator:
         """Simulation process: one monolithic invocation."""
-        dag = self._workflows[workflow]
+        dag, critical_exec = self._workflows[workflow]
         invocation_id = new_invocation_id()
         record = InvocationRecord(
             workflow=workflow,
             invocation_id=invocation_id,
             mode=self.mode,
             started_at=self.env.now,
-            critical_path_exec=static_critical_exec(dag),
+            critical_path_exec=critical_exec,
         )
         state = InvocationState(invocation_id)
         all_done = self.env.event()

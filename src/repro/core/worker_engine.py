@@ -9,47 +9,37 @@ ever crosses the network — the master only partitions graphs and
 (acting as the client) receives the final execution state from the
 sink functions' workers.
 
-Serving-throughput design (ISSUE 10): deployment compiles each
-``(workflow, version)`` sub-graph into a per-engine dispatch table
+Serving-throughput design: deployment compiles each ``(workflow,
+version)`` sub-graph into a per-engine dispatch table
 (:class:`_FnDispatch`) — dense function indices, pre-resolved successor
 engines, and precomputed process names — so the per-invocation hot path
 does no string formatting, no placement lookups, and no per-function
 state allocation (state lives in :class:`CompiledInvocation` arrays).
 A live triggered-not-executed index keeps crash collection O(in-flight)
 and invocation state is retired the moment the invocation completes, so
-engine memory tracks concurrency, not history.  With
-``EngineConfig.batch_control`` the control messages emitted by one
-engine step coalesce per destination into a single transfer and a
-single remote engine wakeup (documented divergence; default off keeps
-the frozen-seed event sequence bit-identical).
+engine memory tracks concurrency, not history.  A finished function's
+fan-out is a tuple of delivery groups, each sent by one ``_notify``
+process: one successor per group by default, or — with
+``EngineConfig.batch_control`` — one group per destination engine, so
+the updates for one destination share a single transfer and a single
+engine wakeup (documented divergence; default off keeps the frozen-seed
+event sequence bit-identical, and a group of one is the plain path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Sequence
+from typing import Generator, Optional
 
 from ..dag import WorkflowDAG
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-)
 from ..obs.spans import SpanKind
-from ..obs.telemetry import record_invocation_metrics
-from ..sim import Cluster, Node, Resource
-from .config import EngineConfig
-from .faastore import DataPolicy, FaaStorePolicy
+from ..sim import Node, Resource
 from .faults import (
     CancelCause,
     CancelKind,
-    FaultInjector,
     FunctionFailure,
-    ProcessRegistry,
     TaskCancelled,
 )
-from .master_engine import static_critical_exec
-from .runtime import FunctionRuntime
 from .switching import is_skipped
 from .state import (
     EXECUTED,
@@ -57,43 +47,11 @@ from .state import (
     InvocationID,
     Placement,
     WorkflowStructure,
-    new_invocation_id,
 )
-from .tracing import Kind, Tracer
+from .system import WorkflowSystem, static_critical_exec
+from .tracing import Kind
 
 __all__ = ["WorkerEngine", "FaaSFlowSystem"]
-
-# Sentinel value carried by ``_InvocationContext.done`` when the
-# execution-timeout watchdog (not a sink report or failure) fired it.
-_TIMED_OUT = object()
-
-
-class _InvocationContext:
-    """Client-side bookkeeping for one in-flight invocation.
-
-    ``done`` is a single kernel event: it fires on the last sink report
-    *or* on the first failure (``failed`` records the failing function).
-    The invoke process checks ``failed`` before completion, so when both
-    land in the same timestep the failure wins — same semantics as the
-    former two-event scheme with one event fewer per invocation.
-    """
-
-    __slots__ = ("record", "version", "sinks_remaining", "done", "failed")
-
-    def __init__(self, record, version, sinks_remaining, done):
-        self.record = record
-        self.version = version
-        self.sinks_remaining = sinks_remaining
-        self.done = done
-        self.failed: Optional[str] = None
-
-    def _deadline(self, _event) -> None:
-        # Watchdog-timer callback: an invocation still pending at the
-        # deadline times out.  Firing ``done`` with the sentinel lets
-        # the invoke process wait on one event instead of a two-event
-        # any_of condition.
-        if not self.done.triggered:
-            self.done.succeed(_TIMED_OUT)
 
 
 @dataclass
@@ -129,18 +87,11 @@ class _FnDispatch:
         "sink_name",
         "sink_tag",
         "fail_tag",
-        # DAG-ordered (remote engine or None, destination structure,
-        # destination dispatch entry, process name, message tag).
+        # Delivery groups: (remote engine or None, destination
+        # structure, destination entries, process name, message tag).
         # Resolved lazily by :meth:`_link_entry` on first propagation,
         # once every engine of the deployment has compiled its table.
-        "succ_entries",
-        # batch_control mode: destinations with exactly one successor
-        # (same tuples as ``succ_entries``) ...
-        "succ_singles",
-        # ... and multi-successor destinations coalesced into one
-        # transfer: (remote engine or None, destination structure,
-        # destination entries, names, joined names, process name, tag).
-        "succ_batches",
+        "fanout",
         # DataflowSP eager shipping, precompiled; None for WorkerSP (and
         # for producers with nothing to ship).
         "ship_plan",
@@ -150,11 +101,13 @@ class _FnDispatch:
 class WorkerEngine:
     """The decentralized engine on one worker node."""
 
-    # Spawn-name prefix for trigger handlers; DataflowSP overrides.
+    # Spawn-name prefixes and the wire label of a state update (span
+    # role, message tag); DataflowSP overrides them.
     _run_prefix = "worker"
     _local_notify_prefix = "rpc"
     _remote_notify_prefix = "sync"
-    _state_tag_prefix = "state"
+    _sync_role = "state"
+    _trace_note = ""
 
     def __init__(self, system: "FaaSFlowSystem", node: Node):
         self.system = system
@@ -168,7 +121,7 @@ class WorkerEngine:
             tuple[str, int],
             tuple[WorkflowStructure, dict[str, _FnDispatch]],
         ] = {}
-        self.states_synced = 0  # cross-worker state messages received
+        self.states_synced = 0  # cross-worker state updates (tokens) received
         self.events_handled = 0  # engine-loop steps executed
         self.busy_time = 0.0  # seconds the engine loop was occupied
         # Crash state: while down, incoming control messages are queued
@@ -205,77 +158,57 @@ class WorkerEngine:
             # Successor fan-out is linked on first propagation: the
             # destination dispatch tables may not exist yet while this
             # engine's sub-graph is being deployed.
-            entry.succ_entries = None
-            entry.succ_singles = None
-            entry.succ_batches = None
+            entry.fanout = None
             entries[name] = entry
         return entries
 
     def _link_entry(
         self, structure: WorkflowStructure, entry: _FnDispatch
     ) -> None:
-        """Resolve one function's fan-out to destination dispatch refs.
+        """Resolve one function's fan-out into delivery groups.
 
         Runs once per (deployment, function), after which propagation
-        needs no dict lookups at all: each successor is a pre-resolved
-        (engine, structure, dispatch entry) triple with its process name
-        and wire tag already formatted.
+        needs no dict lookups at all.  By default each successor is its
+        own group, in DAG order.  Under ``batch_control`` there is one
+        group per destination engine, single-successor groups first: a
+        group of one is the plain path, so batching it would only
+        relabel it.
         """
         key = (structure.workflow, structure.version)
         engines = self.system.engines
         node_name = self.node.name
-        plain = []
-        groups: dict[str, list] = {}
+        batch = self.system.config.batch_control
+        groups: dict[str, tuple] = {}
         for successor, target in structure.successor_targets[entry.index]:
             if target == node_name:
                 remote = None
                 dest_structure, dest_entries = self._compiled[key]
-                prefix = self._local_notify_prefix
             else:
                 remote = engines[target]
                 dest_structure, dest_entries = remote._compiled[key]
-                prefix = self._remote_notify_prefix
-            item = (
-                remote,
-                dest_structure,
-                dest_entries[successor],
-                f"{prefix}:{entry.name}->{successor}",
-                f"{self._state_tag_prefix}:{successor}",
+            group = groups.setdefault(
+                target if batch else successor, (remote, dest_structure, [])
             )
-            plain.append(item)
-            groups.setdefault(target, []).append(item)
-        singles = []
-        batches = []
-        for target, items in groups.items():
-            if len(items) == 1:
-                # A batch of one is the plain path: same transfer, same
-                # single engine step — batching it would only relabel it.
-                singles.append(items[0])
-                continue
-            remote = items[0][0]
-            dest_structure = items[0][1]
-            dest_entries = tuple(item[2] for item in items)
-            names = tuple(dest.name for dest in dest_entries)
+            group[2].append(dest_entries[successor])
+        role = self._sync_role
+        fanout = []
+        # Stable sort: single-successor groups first, each half in order.
+        for remote, dest_structure, dests in sorted(
+            groups.values(), key=lambda group: len(group[2]) > 1
+        ):
             prefix = (
                 self._local_notify_prefix
                 if remote is None
                 else self._remote_notify_prefix
             )
-            batches.append(
-                (
-                    remote,
-                    dest_structure,
-                    dest_entries,
-                    names,
-                    ",".join(names),
-                    f"{prefix}:{entry.name}->[{len(items)}]",
-                    f"{self._state_tag_prefix}-batch:"
-                    f"{names[0]}+{len(items) - 1}",
-                )
-            )
-        entry.succ_singles = tuple(singles)
-        entry.succ_batches = tuple(batches)
-        entry.succ_entries = tuple(plain)
+            if len(dests) == 1:
+                name = f"{prefix}:{entry.name}->{dests[0].name}"
+                tag = f"{role}:{dests[0].name}"
+            else:
+                name = f"{prefix}:{entry.name}->[{len(dests)}]"
+                tag = f"{role}-batch:{dests[0].name}+{len(dests) - 1}"
+            fanout.append((remote, dest_structure, tuple(dests), name, tag))
+        entry.fanout = tuple(fanout)
 
     def retire(self, workflow: str, version: int) -> None:
         """Red-black support: drop an out-of-date sub-graph version."""
@@ -384,32 +317,6 @@ class WorkerEngine:
         yield from self._engine_step()
         structure, entries = self._lookup(workflow, version)
         self._apply_state_update(structure, entries[function], invocation_id)
-
-    def receive_state_updates(
-        self,
-        workflow: str,
-        version: int,
-        invocation_id: InvocationID,
-        functions: Sequence[str],
-    ) -> Generator:
-        """Batched control plane: one engine wakeup applies all updates.
-
-        Used only under ``EngineConfig.batch_control`` — the whole batch
-        pays a *single* engine step (one handler wakeup), which is the
-        documented divergence from the per-message default mode.
-        """
-        if self.down:
-            for function in functions:
-                self._deferred.append(
-                    ("update", workflow, version, invocation_id, function)
-                )
-            return
-        yield from self._engine_step()
-        structure, entries = self._lookup(workflow, version)
-        for function in functions:
-            self._apply_state_update(
-                structure, entries[function], invocation_id
-            )
 
     def trigger_source(
         self,
@@ -541,65 +448,22 @@ class WorkerEngine:
         packets already handed to the TCP stack, which survive the
         sender's crash but die with the invocation.
         """
-        if entry.succ_entries is None:
+        if entry.fanout is None:
             self._link_entry(structure, entry)
         spawn = self.system.spawn_registered
-        if not entry.succ_entries:
+        if not entry.fanout:
             spawn(
                 self._report_sink(structure, invocation_id, entry),
                 invocation_id,
                 name=entry.sink_name,
             )
             return
-        if self.system.config.batch_control:
-            for item in entry.succ_singles:
-                remote_engine = item[0]
-                if remote_engine is None:
-                    spawn(
-                        self._notify_local(item[1], invocation_id, item[2]),
-                        invocation_id,
-                        name=item[3],
-                    )
-                else:
-                    spawn(
-                        self._notify_remote(
-                            structure, invocation_id, item
-                        ),
-                        invocation_id,
-                        name=item[3],
-                    )
-            for batch in entry.succ_batches:
-                if batch[0] is None:
-                    spawn(
-                        self._notify_local_batch(
-                            batch[1], invocation_id, batch[2]
-                        ),
-                        invocation_id,
-                        name=batch[5],
-                    )
-                else:
-                    spawn(
-                        self._notify_remote_batch(
-                            structure, invocation_id, batch
-                        ),
-                        invocation_id,
-                        name=batch[5],
-                    )
-            return
-        for item in entry.succ_entries:
-            remote_engine = item[0]
-            if remote_engine is None:
-                spawn(
-                    self._notify_local(item[1], invocation_id, item[2]),
-                    invocation_id,
-                    name=item[3],
-                )
-            else:
-                spawn(
-                    self._notify_remote(structure, invocation_id, item),
-                    invocation_id,
-                    name=item[3],
-                )
+        for group in entry.fanout:
+            spawn(
+                self._notify(invocation_id, group),
+                invocation_id,
+                name=group[3],
+            )
 
     def _report_sink(
         self,
@@ -631,35 +495,62 @@ class WorkerEngine:
             )
         self.system.sink_completed(structure.workflow, invocation_id)
 
-    def _notify_local(
-        self,
-        dest_structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        dest_entry: _FnDispatch,
-    ) -> Generator:
-        yield self.env.timeout(self.system.config.local_trigger_time)
-        if self.down:
-            self._deferred.append(
-                (
-                    "update", dest_structure.workflow,
-                    dest_structure.version, invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from self._engine_step()
-        self._apply_state_update(dest_structure, dest_entry, invocation_id)
+    def _notify(self, invocation_id: InvocationID, group: tuple) -> Generator:
+        """Deliver one fan-out group and apply it in one engine step.
 
-    def _notify_local_batch(
-        self,
-        dest_structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        dest_entries: Sequence[_FnDispatch],
-    ) -> Generator:
-        """Batched local fan-out: one RPC hop, one engine wakeup."""
-        yield self.env.timeout(self.system.config.local_trigger_time)
-        if self.down:
+        A local group is an in-process RPC hop; a remote one is a single
+        message whose size scales with the group (the bytes still move).
+        """
+        remote_engine, dest_structure, dest_entries, _, tag = group
+        system = self.system
+        count = len(dest_entries)
+        if remote_engine is None:
+            target = self
+            yield self.env.timeout(system.config.local_trigger_time)
+        else:
+            target = remote_engine
+            # Every message's size object stays alive in its transfer
+            # record: a group of one passes the shared config value
+            # rather than a fresh product.
+            size = system.config.state_message_size
+            if count > 1:
+                size *= count
+            sync_start = self.env.now
+            yield system.network.message(
+                self.node.nic, remote_engine.node.nic, size, tag=tag
+            )
+            spans = system.spans
+            if spans.enabled:
+                role = self._sync_role
+                extra = {}
+                if count > 1:
+                    role = f"{role}-batch"
+                    extra["batch"] = count
+                spans.record(
+                    SpanKind.STATE_SYNC,
+                    sync_start,
+                    self.env.now,
+                    workflow=dest_structure.workflow,
+                    invocation_id=invocation_id,
+                    function=dest_entries[0].name,
+                    node=self.node.name,
+                    parent=spans.root_of(invocation_id),
+                    role=role,
+                    dst=remote_engine.node.name,
+                    **extra,
+                )
+            remote_engine.states_synced += count
+            if system.tracer is not None:
+                batch = "" if count == 1 else "batch "
+                system.trace(
+                    Kind.STATE_SYNC, dest_structure.workflow, invocation_id,
+                    function=",".join(dest.name for dest in dest_entries),
+                    node=remote_engine.node.name,
+                    detail=f"{self._trace_note}{batch}from {self.node.name}",
+                )
+        if target.down:
             for dest_entry in dest_entries:
-                self._deferred.append(
+                target._deferred.append(
                     (
                         "update", dest_structure.workflow,
                         dest_structure.version, invocation_id,
@@ -667,116 +558,9 @@ class WorkerEngine:
                     )
                 )
             return
-        yield from self._engine_step()
+        yield from target._engine_step()
         for dest_entry in dest_entries:
-            self._apply_state_update(
-                dest_structure, dest_entry, invocation_id
-            )
-
-    def _notify_remote(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        item: tuple,
-    ) -> Generator:
-        remote_engine, dest_structure, dest_entry, _, tag = item
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size,
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entry.name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="state",
-                dst=remote_engine.node.name,
-            )
-        remote_engine.states_synced += 1
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=dest_entry.name, node=remote_engine.node.name,
-                detail=f"from {self.node.name}",
-            )
-        if remote_engine.down:
-            remote_engine._deferred.append(
-                (
-                    "update", structure.workflow, structure.version,
-                    invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from remote_engine._engine_step()
-        remote_engine._apply_state_update(
-            dest_structure, dest_entry, invocation_id
-        )
-
-    def _notify_remote_batch(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        batch: tuple,
-    ) -> Generator:
-        """Batched remote fan-out: one transfer, one remote wakeup.
-
-        The coalesced message carries every state entry (the bytes still
-        move: size scales with the batch), but the destination engine
-        pays a single engine step for the whole batch.
-        """
-        remote_engine, dest_structure, dest_entries, _, joined, _, tag = batch
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size * len(dest_entries),
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entries[0].name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="state-batch",
-                dst=remote_engine.node.name,
-                batch=len(dest_entries),
-            )
-        remote_engine.states_synced += len(dest_entries)
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=joined, node=remote_engine.node.name,
-                detail=f"batch from {self.node.name}",
-            )
-        if remote_engine.down:
-            for dest_entry in dest_entries:
-                remote_engine._deferred.append(
-                    (
-                        "update", structure.workflow, structure.version,
-                        invocation_id, dest_entry.name,
-                    )
-                )
-            return
-        yield from remote_engine._engine_step()
-        for dest_entry in dest_entries:
-            remote_engine._apply_state_update(
+            target._apply_state_update(
                 dest_structure, dest_entry, invocation_id
             )
 
@@ -852,7 +636,7 @@ class WorkerEngine:
         return True
 
 
-class FaaSFlowSystem:
+class FaaSFlowSystem(WorkflowSystem):
     """The WorkerSP workflow system: graph-partitioned distributed engines."""
 
     mode = "worker-sp"
@@ -861,67 +645,21 @@ class FaaSFlowSystem:
     engine_label = "worker-sp"
     engine_class = WorkerEngine
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        config: Optional[EngineConfig] = None,
-        policy: Optional[DataPolicy] = None,
-        metrics: Optional[MetricsCollector] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultInjector] = None,
-    ):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.network = cluster.network
-        self.config = config or EngineConfig()
-        self.tracer = tracer
-        self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        if self.spans.enabled:
-            self.metrics.spans = self.spans
-        self.policy = policy or FaaStorePolicy(cluster, self.metrics)
-        self.registry = ProcessRegistry()
-        self.runtime = FunctionRuntime(
-            cluster, self.config, self.policy, faults=faults,
-            registry=self.registry,
-        )
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # The master node doubles as the invoking client (paper §5.1).
-        self.client_node = cluster.storage_node
+        self.client_node = self.cluster.storage_node
         self.engines: dict[str, WorkerEngine] = {
             worker.name: self.engine_class(self, worker)
-            for worker in cluster.workers
+            for worker in self.cluster.workers
         }
         self._deployed: dict[tuple[str, int], _DeployedWorkflow] = {}
         self._current_version: dict[str, int] = {}
-        self._contexts: dict[InvocationID, _InvocationContext] = {}
-        self.node_crashes = 0
         self.retriggered = 0
-        # Serving-lifecycle gauges: current and peak concurrent
-        # invocations, so soak tests can pin memory ∝ concurrency.
-        self.in_flight = 0
-        self.peak_in_flight = 0
         # node name -> tasks lost to a crash, re-triggered on recovery.
         self._crash_pending: dict[
             str, list[tuple[str, int, InvocationID, str]]
         ] = {}
-
-    def spawn_registered(
-        self,
-        generator: Generator,
-        invocation_id: InvocationID,
-        node: str = "",
-        name: str = "",
-    ):
-        """Spawn a process and track it for cancellation.
-
-        ``node`` binds the process to a worker so node crashes kill it;
-        processes left unbound (in-flight messages) die only with their
-        invocation.
-        """
-        process = self.env.process(generator, name=name)
-        self.registry.register(process, invocation_id, node=node)
-        return process
 
     # -- deployment ---------------------------------------------------------
     def engine(self, worker_name: str) -> WorkerEngine:
@@ -1029,41 +767,17 @@ class FaaSFlowSystem:
             engine.retire(workflow, version)
 
     # -- invocation ----------------------------------------------------------
-    def context(self, invocation_id: InvocationID) -> Optional[_InvocationContext]:
-        return self._contexts.get(invocation_id)
-
     def invoke(self, workflow: str) -> Generator:
         """Simulation process: one end-to-end invocation (client side)."""
         version = self._current_version.get(workflow)
         if version is None:
             raise KeyError(f"workflow {workflow!r} is not deployed")
         deployed = self._deployed[(workflow, version)]
-        invocation_id = new_invocation_id()
-        env = self.env
-        record = InvocationRecord(
-            workflow=workflow,
-            invocation_id=invocation_id,
-            mode=self.mode,
-            started_at=env.now,
-            critical_path_exec=deployed.critical_exec,
+        context = self._open(
+            workflow, deployed.critical_exec, deployed.sink_count
         )
-        context = _InvocationContext(
-            record=record,
-            version=version,
-            sinks_remaining=deployed.sink_count,
-            done=env.event(),
-        )
-        self._contexts[invocation_id] = context
+        invocation_id = context.record.invocation_id
         deployed.live_invocations += 1
-        self.in_flight += 1
-        if self.in_flight > self.peak_in_flight:
-            self.peak_in_flight = self.in_flight
-        if self.tracer is not None:
-            self.trace(Kind.INVOCATION_START, workflow, invocation_id)
-        if self.spans.enabled:
-            self.spans.start_invocation(
-                invocation_id, workflow=workflow, mode=self.mode
-            )
         # The client ships the invocation request to each entry
         # function's worker; from there everything is worker-side.
         for engine, structure, entry, send_name, tag in deployed.sources:
@@ -1074,60 +788,14 @@ class FaaSFlowSystem:
                 invocation_id,
                 name=send_name,
             )
-        timeout = env.timeout(self.config.execution_timeout)
-        timeout.callbacks.append(context._deadline)
-        yield context.done
-        # Check failure *before* completion: when a failure report and
-        # the last sink report land in the same timestep, the failure
-        # must win (sink_completed also refuses to count sinks after a
-        # failure, so the completion path can't even trigger then).
-        if context.failed is not None:
-            record.status = InvocationStatus.FAILED
-            record.finished_at = env.now
-        elif context.done.value is _TIMED_OUT:
-            record.status = InvocationStatus.TIMEOUT
-            record.finished_at = record.started_at + self.config.execution_timeout
-        else:
-            record.finished_at = env.now
-        if not timeout.processed:
-            # Cancel the watchdog so the kernel heap doesn't accumulate
-            # one 60-second timer per completed invocation.
-            timeout.cancel()
-        if record.status != InvocationStatus.OK:
-            cancelled = self.registry.cancel_invocation(
-                invocation_id,
-                CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
-            )
-            if cancelled:
-                self.trace(
-                    Kind.CANCELLED, workflow, invocation_id,
-                    detail=f"{cancelled} process(es)",
-                )
-        self.registry.release_invocation(invocation_id)
-        self.policy.cleanup_invocation(deployed.dag, invocation_id)
-        self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.tenant_of(workflow),
-                self.engine_label,
-            )
-        if self.tracer is not None:
-            self.trace(
-                Kind.INVOCATION_END, workflow, invocation_id,
-                detail=record.status,
-            )
-        if self.spans.enabled:
-            root = self.spans.root_of(invocation_id)
-            if root is not None:
-                self.spans.end(root, status=record.status)
-        self._contexts.pop(invocation_id, None)
+        yield from self._watch(context)
+        record = self._close(context, deployed.dag)
         # Release the per-invocation *State* arrays on every engine
         # that holds a sub-graph of this workflow (paper §4.2.1), so
         # live engine memory is O(in-flight), not O(served).
         for structure in deployed.structures:
             structure.release_invocation(invocation_id)
         deployed.live_invocations -= 1
-        self.in_flight -= 1
         if version != self._current_version.get(workflow):
             self._try_retire(workflow, version)
         return record
@@ -1170,50 +838,6 @@ class FaaSFlowSystem:
             return
         yield from engine._engine_step()
         engine._trigger_entry(structure, entry, invocation_id)
-
-    def tenant_of(self, workflow: str) -> str:
-        """Telemetry tenant label for one workflow's invocations.
-
-        ``EngineConfig.tenant`` is the system-wide default; multi-tenant
-        serving harnesses may register per-workflow owners through
-        :meth:`set_tenants` for per-tenant rollups.
-        """
-        tenants = getattr(self, "_tenants", None)
-        if tenants is not None:
-            return tenants.get(workflow, self.config.tenant)
-        return self.config.tenant
-
-    def set_tenants(self, tenants: dict[str, str]) -> None:
-        self._tenants = dict(tenants)
-
-    def trace(self, kind: str, workflow: str, invocation_id: InvocationID,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )
-
-    def invocation_failed(
-        self, workflow: str, invocation_id: InvocationID, function: str
-    ) -> None:
-        context = self._contexts.get(invocation_id)
-        if context is None:
-            return  # already timed out / torn down
-        if context.failed is None:
-            context.failed = function
-            if not context.done.triggered:
-                context.done.succeed(function)
-
-    def sink_completed(self, workflow: str, invocation_id: InvocationID) -> None:
-        context = self._contexts.get(invocation_id)
-        if context is None:
-            return  # invocation already timed out and was torn down
-        if context.failed is not None:
-            return  # already failed; a late sink can't resurrect it
-        context.sinks_remaining -= 1
-        if context.sinks_remaining == 0 and not context.done.triggered:
-            context.done.succeed()
 
     # -- fault hooks (called by FaultDriver) ----------------------------------
     def on_node_crash(self, node_name: str) -> None:

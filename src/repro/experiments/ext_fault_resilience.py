@@ -45,13 +45,7 @@ def _measure(engine: str, rate: float, retries: int, invocations: int):
     cluster = make_cluster()
     faults = FaultInjector(default_rate=rate, seed=42)
     config = EngineConfig(ship_data=False, max_retries=retries)
-    dag = build("epigenomics")
-    if engine == "master":
-        system = HyperFlowServerlessSystem(cluster, config, faults=faults)
-        system.register(dag, hash_partition(dag, cluster.worker_names()))
-    else:
-        system = FaaSFlowSystem(cluster, config, faults=faults)
-        system.deploy(dag, hash_partition(dag, cluster.worker_names()))
+    system, dag = _build_system(engine, config, cluster, faults=faults)
     records = run_closed_loop(system, dag.name, invocations)
     ok = [r for r in records if r.status == "ok"]
     return {

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 
 from ..clients import OpenLoopClient
-from ..core import EngineConfig, hash_partition
+from ..core import ENGINES, EngineConfig, hash_partition
 from ..obs.telemetry import MetricsRegistry
 from ..sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from ..workloads import chain, diamond, fan, tree
@@ -77,7 +77,7 @@ def run(
     batch_control: bool = False,
     seed: int = 13,
 ) -> ExperimentResult:
-    if engine not in ("worker", "master", "dataflow"):
+    if engine not in ENGINES:
         raise ValueError("engine must be 'worker', 'master', or 'dataflow'")
     if tenants < 1:
         raise ValueError("tenants must be >= 1")
@@ -103,18 +103,7 @@ def run(
         local_trigger_time=0.0002,
         batch_control=batch_control,
     )
-    if engine == "worker":
-        from ..core import FaaSFlowSystem
-
-        system = FaaSFlowSystem(cluster, config)
-    elif engine == "dataflow":
-        from ..core import DataflowSystem
-
-        system = DataflowSystem(cluster, config)
-    else:
-        from ..core import HyperFlowServerlessSystem
-
-        system = HyperFlowServerlessSystem(cluster, config)
+    system = ENGINES[engine](cluster, config)
 
     tenant_rows = []
     tenant_map: dict[str, str] = {}

@@ -21,12 +21,10 @@ from pathlib import Path
 from .clients import run_closed_loop, run_open_loop
 from .metrics import percentile
 from .core import (
-    DataflowSystem,
+    ENGINES,
     EngineConfig,
-    FaaSFlowSystem,
     FaultInjector,
     GraphScheduler,
-    HyperFlowServerlessSystem,
     Tracer,
     hash_partition,
 )
@@ -102,7 +100,7 @@ def run_workflow(
     the process-wide ``FAASFLOW_SCHEDULER`` default).  Every summary
     field and record is bit-identical under either scheduler.
     """
-    if engine not in ("worker", "master", "dataflow"):
+    if engine not in ENGINES:
         raise ValueError("engine must be 'worker', 'master', or 'dataflow'")
     env = Environment(scheduler=kernel_scheduler)
     cluster = Cluster(
@@ -138,17 +136,13 @@ def run_workflow(
         ship_data=ship_data, max_retries=max_retries, tenant=tenant,
         eager_ship=eager_ship, batch_control=batch_control,
     )
+    system = ENGINES[engine](cluster, config, tracer=tracer, faults=faults)
     if engine == "master":
-        system = HyperFlowServerlessSystem(
-            cluster, config, tracer=tracer, faults=faults
-        )
         system.register(dag, hash_partition(dag, cluster.worker_names()))
     else:
         # WorkerSP and DataflowSP share the placement-driven deployment
         # path (scheduler, quotas, feedback); only the triggering
         # paradigm behind the deployed sub-graphs differs.
-        system_class = DataflowSystem if engine == "dataflow" else FaaSFlowSystem
-        system = system_class(cluster, config, tracer=tracer, faults=faults)
         scheduler = GraphScheduler(cluster)
         placement, quotas, _ = scheduler.schedule(dag)
         system.deploy(dag, placement, quotas=quotas, prewarm=1 if prewarm else 0)
@@ -369,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("workflow", help="WDL YAML file or benchmark name")
     parser.add_argument(
-        "--engine", choices=["worker", "master", "dataflow"], default="worker",
+        "--engine", choices=list(ENGINES), default="worker",
         help="worker = FaaSFlow (default); master = HyperFlow-serverless; "
         "dataflow = DataflowSP (function-level dataflow triggering with "
         "eager data shipping)",

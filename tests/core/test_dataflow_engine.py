@@ -113,7 +113,7 @@ class TestTriggering:
         dag = linear_dag(n=4)
         system.deploy(dag, round_robin(dag, ["worker-0", "worker-1"]))
         env.run(until=env.process(system.invoke("lin")))
-        received = sum(e.tokens_received for e in system.engines.values())
+        received = sum(e.states_synced for e in system.engines.values())
         assert received == 3  # every edge crosses workers
         handled = sum(e.events_handled for e in system.engines.values())
         assert handled >= 4  # one token step per trigger at minimum

@@ -21,7 +21,10 @@ from repro.core import (
     FaultDriver,
     FaultPlan,
     HyperFlowServerlessSystem,
+    Kind,
     NodeCrash,
+    Placement,
+    Tracer,
     hash_partition,
 )
 from repro.core.state import EXECUTED, TRIGGERED, reset_invocation_ids
@@ -221,24 +224,53 @@ class TestStateRetirement:
 class TestBatchedControlPlane:
     """Tentpole pin: batch_control changes timing, never outcomes."""
 
-    def _run(self, engine, batch):
+    def _system(self, engine, batch, **config_kwargs):
         reset_invocation_ids(1)
         cluster = make_cluster(workers=2)
-        system = make_system(engine, cluster, batch_control=batch)
+        system = make_system(
+            engine, cluster, batch_control=batch, **config_kwargs
+        )
         # head on one worker, all three branches on the other: the
         # head->branches fan-out is a 3-wide same-destination batch.
         dag = fanout_dag(branches=3, output_size=0.0)
         assignment = {"head": "worker-0", "tail": "worker-0"}
         for i in range(3):
             assignment[f"b{i}"] = "worker-1"
-        from repro.core import Placement
-
         system.deploy(
             dag, Placement(workflow=dag.name, assignment=assignment)
         )
+        return system, dag
+
+    def _run(self, engine, batch):
+        system, dag = self._system(engine, batch)
         records = run_closed_loop(system, dag.name, 20)
-        drain(cluster.env)
-        return records, cluster.network.message_count
+        drain(system.env)
+        return records, system.network.message_count
+
+    def _run_with_crash(self, engine, batch, crash_at):
+        system, dag = self._system(
+            engine, batch, max_retries=2, execution_timeout=30.0
+        )
+        crashed = system.engines["worker-1"]
+        deferred_at_recovery = []
+        recover = crashed.recover
+
+        def recover_and_note():
+            deferred_at_recovery.append(
+                [update[4] for update in crashed._deferred]
+            )
+            recover()
+
+        crashed.recover = recover_and_note
+        plan = FaultPlan(
+            node_crashes=(
+                NodeCrash(node="worker-1", at=crash_at, recovery=0.3),
+            )
+        )
+        FaultDriver(system.cluster, plan).attach(system).start()
+        records = run_closed_loop(system, dag.name, 3)
+        drain(system.env)
+        return system, records, deferred_at_recovery
 
     @pytest.mark.parametrize("engine", ["worker", "dataflow"])
     def test_batched_outcomes_identical_and_coalesced(self, engine):
@@ -259,6 +291,36 @@ class TestBatchedControlPlane:
         # The 3-wide fan-out coalesces into one transfer per invocation:
         # 2 control messages fewer, 20 invocations, both engines.
         assert batch_messages == plain_messages - 2 * 20
+
+    @pytest.mark.parametrize("engine", ["worker", "dataflow"])
+    def test_batched_group_deferred_across_node_crash(self, engine):
+        """A 3-entry group that lands on a crashed engine is deferred
+        whole and replayed on recovery, with the plain path's outcomes."""
+        # Probe: the fan-out message leaves when head finishes, and
+        # takes at least the network latency (0.5 ms) to arrive.
+        system, dag = self._system(engine, batch=True)
+        system.tracer = Tracer()
+        run_closed_loop(system, dag.name, 1)
+        head_done = next(
+            event.time
+            for event in system.tracer.events
+            if event.kind == Kind.FUNCTION_EXECUTED
+            and event.function == "head"
+        )
+        crash_at = head_done + 0.0002
+        outcomes = {}
+        for batch in (False, True):
+            system, records, deferred = self._run_with_crash(
+                engine, batch, crash_at
+            )
+            outcomes[batch] = [(r.invocation_id, r.status) for r in records]
+            # The crash caught all three updates in flight.
+            assert deferred == [["b0", "b1", "b2"]]
+            assert system.engines["worker-1"]._deferred == []
+            assert system.node_crashes == 1
+            TestStateRetirement._assert_retired(system, engine)
+        assert len(outcomes[True]) == 3
+        assert outcomes[True] == outcomes[False]
 
     def test_single_successor_destinations_never_batch(self):
         """A batch of one is the plain path: a pure chain's control
