@@ -43,7 +43,7 @@ from repro.sim import Node
 from repro.core.faults import FunctionFailure, TaskCancelled
 from .state import InvocationID, WorkflowStructure
 from repro.core.switching import is_skipped
-from repro.core.tracing import Kind
+from .tracing import Kind
 from .worker_engine import FaaSFlowSystem
 
 __all__ = ["DataflowEngine", "DataflowSystem"]

@@ -51,7 +51,7 @@ from .state import (
     WorkflowStructure,
     new_invocation_id,
 )
-from repro.core.tracing import Kind, Tracer
+from .tracing import Kind, Tracer
 
 __all__ = ["WorkerEngine", "FaaSFlowSystem"]
 

@@ -40,7 +40,6 @@ from .scheduler import (
 )
 from .switching import is_skipped, selected_case
 from .system import WorkflowSystem, static_critical_exec
-from .tracing import Kind, TraceEvent, Tracer
 from .state import (
     FunctionInfo,
     FunctionState,
@@ -106,9 +105,6 @@ __all__ = [
     "RemoteStorePolicy",
     "SchedulerReport",
     "static_critical_exec",
-    "TraceEvent",
-    "Tracer",
-    "Kind",
     "update_edge_weights",
     "WorkerEngine",
     "WorkflowStructure",

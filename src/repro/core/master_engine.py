@@ -42,7 +42,6 @@ from .faults import (
 from .switching import is_skipped
 from .state import Placement
 from .system import WorkflowSystem, static_critical_exec
-from .tracing import Kind, Tracer
 
 __all__ = ["HyperFlowServerlessSystem"]
 
@@ -89,12 +88,9 @@ class HyperFlowServerlessSystem(WorkflowSystem):
         policy: Optional[DataPolicy] = None,
         metrics: Optional[MetricsCollector] = None,
         master: Optional[Node] = None,
-        tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        super().__init__(
-            cluster, config, policy, metrics, tracer=tracer, faults=faults
-        )
+        super().__init__(cluster, config, policy, metrics, faults=faults)
         # The paper deploys the central engine next to the invocation
         # generator and storage; we host it on the storage node.
         self.master = master or cluster.storage_node
@@ -193,15 +189,12 @@ class HyperFlowServerlessSystem(WorkflowSystem):
             and not fn.is_virtual
             and is_skipped(dag, fn.name, invocation_id)
         )
+        runs = not fn.is_virtual and not skipped
+        task_start = self.env.now
         # Stage 1: the master engine decides and dispatches the trigger.
         yield from self._engine_step()
-        if not fn.is_virtual and not skipped:
+        if runs:
             worker = fn.worker
-            if self.tracer is not None:
-                self.trace(
-                    Kind.TASK_ASSIGNED, dag.name, invocation_id,
-                    function=fn.name, node=worker.name,
-                )
             self.messages_sent += 1
             assign_start = self.env.now
             yield self.cluster.network.message(
@@ -273,11 +266,18 @@ class HyperFlowServerlessSystem(WorkflowSystem):
                 )
         # Completion handling in the serialized engine loop.
         yield from self._engine_step()
-        if self.tracer is not None:
-            self.trace(
-                Kind.FUNCTION_EXECUTED, dag.name, invocation_id,
+        if not runs and self.spans.enabled:
+            # Virtual markers and skipped arms never reach the runtime:
+            # their one FUNCTION span covers the two engine steps.
+            self.spans.record(
+                SpanKind.FUNCTION,
+                task_start,
+                workflow=dag.name,
+                invocation_id=invocation_id,
                 function=fn.name,
-                node="" if fn.worker is None else fn.worker.name,
+                node=self.master.name,
+                parent=self.spans.root_of(invocation_id),
+                status="skipped" if skipped else "virtual",
             )
         if not fn.successors:
             # The last sink to complete is the last task of all.
@@ -308,8 +308,6 @@ class HyperFlowServerlessSystem(WorkflowSystem):
         self.registry.cancel_node(
             node_name, CancelCause(CancelKind.NODE_CRASH, detail=node_name)
         )
-        self.trace(Kind.NODE_CRASH, "", 0, node=node_name)
 
     def on_node_recovery(self, node_name: str) -> None:
         """Nothing to replay: the container pool drains its own backlog."""
-        self.trace(Kind.NODE_RECOVERY, "", 0, node=node_name)

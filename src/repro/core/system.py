@@ -23,7 +23,6 @@ from .faastore import DataPolicy, FaaStorePolicy
 from .faults import CancelCause, CancelKind, FaultInjector, ProcessRegistry
 from .runtime import FunctionRuntime
 from .state import InvocationID, new_invocation_id
-from .tracing import Kind, Tracer
 
 __all__ = ["WorkflowSystem", "static_critical_exec"]
 
@@ -86,14 +85,12 @@ class WorkflowSystem:
         config: Optional[EngineConfig] = None,
         policy: Optional[DataPolicy] = None,
         metrics: Optional[MetricsCollector] = None,
-        tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
         self.network = cluster.network
         self.config = config or EngineConfig()
-        self.tracer = tracer
         self.spans = cluster.spans
         self.telemetry = cluster.telemetry
         self.metrics = metrics if metrics is not None else MetricsCollector()
@@ -152,8 +149,6 @@ class WorkflowSystem:
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
-        if self.tracer is not None:
-            self.trace(Kind.INVOCATION_START, workflow, invocation_id)
         if self.spans.enabled:
             self.spans.start_invocation(
                 invocation_id, workflow=workflow, mode=self.mode
@@ -195,15 +190,10 @@ class WorkflowSystem:
         workflow = record.workflow
         invocation_id = record.invocation_id
         if record.status != InvocationStatus.OK:
-            cancelled = self.registry.cancel_invocation(
+            self.registry.cancel_invocation(
                 invocation_id,
                 CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
             )
-            if cancelled:
-                self.trace(
-                    Kind.CANCELLED, workflow, invocation_id,
-                    detail=f"{cancelled} process(es)",
-                )
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(dag, invocation_id)
         self.metrics.record_invocation(record)
@@ -211,11 +201,6 @@ class WorkflowSystem:
             record_invocation_metrics(
                 self.telemetry, record, self.tenant_of(workflow),
                 self.engine_label,
-            )
-        if self.tracer is not None:
-            self.trace(
-                Kind.INVOCATION_END, workflow, invocation_id,
-                detail=record.status,
             )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
@@ -246,7 +231,7 @@ class WorkflowSystem:
         if context.sinks_remaining == 0 and not context.done.triggered:
             context.done.succeed()
 
-    # -- labels and tracing -----------------------------------------------
+    # -- labels -----------------------------------------------------------
     def tenant_of(self, workflow: str) -> str:
         """Telemetry tenant label for one workflow's invocations.
 
@@ -258,11 +243,3 @@ class WorkflowSystem:
 
     def set_tenants(self, tenants: dict[str, str]) -> None:
         self._tenants = dict(tenants)
-
-    def trace(self, kind: str, workflow: str, invocation_id: InvocationID,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )

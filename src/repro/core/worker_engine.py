@@ -49,7 +49,6 @@ from .state import (
     WorkflowStructure,
 )
 from .system import WorkflowSystem, static_critical_exec
-from .tracing import Kind
 
 __all__ = ["WorkerEngine", "FaaSFlowSystem"]
 
@@ -107,7 +106,6 @@ class WorkerEngine:
     _local_notify_prefix = "rpc"
     _remote_notify_prefix = "sync"
     _sync_role = "state"
-    _trace_note = ""
 
     def __init__(self, system: "FaaSFlowSystem", node: Node):
         self.system = system
@@ -344,11 +342,6 @@ class WorkerEngine:
     ) -> Generator:
         system = self.system
         function = entry.name
-        if system.tracer is not None:
-            system.trace(
-                Kind.FUNCTION_TRIGGERED, structure.workflow, invocation_id,
-                function=function, node=self.node.name,
-            )
         skipped = (
             system.config.evaluate_switches
             and not entry.is_virtual
@@ -358,11 +351,19 @@ class WorkerEngine:
         if entry.is_virtual or skipped:
             # Virtual step markers (and non-selected switch arms) cost
             # one local bookkeeping action, no container and no data.
+            step_start = self.env.now
             yield self.env.timeout(system.config.local_trigger_time)
-            if skipped and system.tracer is not None:
-                system.trace(
-                    Kind.FUNCTION_EXECUTED, structure.workflow, invocation_id,
-                    function=function, node=self.node.name, detail="skipped",
+            spans = system.spans
+            if spans.enabled:
+                spans.record(
+                    SpanKind.FUNCTION,
+                    step_start,
+                    workflow=structure.workflow,
+                    invocation_id=invocation_id,
+                    function=function,
+                    node=self.node.name,
+                    parent=spans.root_of(invocation_id),
+                    status="skipped" if skipped else "virtual",
                 )
         else:
             # The runtime runs inline in this (already node-bound)
@@ -415,21 +416,10 @@ class WorkerEngine:
             if context is not None:
                 context.record.cold_starts += result.cold_starts
                 context.record.retries += result.retries
-            if result.cold_starts and system.tracer is not None:
-                system.trace(
-                    Kind.COLD_START, structure.workflow, invocation_id,
-                    function=function, node=self.node.name,
-                    detail=str(result.cold_starts),
-                )
             produced = True
         inv = structure.invocation(invocation_id)
         inv.flags[entry.index] |= EXECUTED
         structure.note_untriggered(invocation_id, entry.index)
-        if system.tracer is not None:
-            system.trace(
-                Kind.FUNCTION_EXECUTED, structure.workflow, invocation_id,
-                function=function, node=self.node.name,
-            )
         self._propagate(structure, invocation_id, entry, produced)
 
     def _propagate(
@@ -540,14 +530,6 @@ class WorkerEngine:
                     **extra,
                 )
             remote_engine.states_synced += count
-            if system.tracer is not None:
-                batch = "" if count == 1 else "batch "
-                system.trace(
-                    Kind.STATE_SYNC, dest_structure.workflow, invocation_id,
-                    function=",".join(dest.name for dest in dest_entries),
-                    node=remote_engine.node.name,
-                    detail=f"{self._trace_note}{batch}from {self.node.name}",
-                )
         if target.down:
             for dest_entry in dest_entries:
                 target._deferred.append(
@@ -852,17 +834,13 @@ class FaaSFlowSystem(WorkflowSystem):
         engine = self.engines.get(node_name)
         if engine is None:
             return
-        cancelled = self.registry.cancel_node(
+        self.registry.cancel_node(
             node_name, CancelCause(CancelKind.NODE_STOP, detail=node_name)
         )
         pending = engine.fail()
         if pending:
             self._crash_pending.setdefault(node_name, []).extend(pending)
         self.node_crashes += 1
-        self.trace(
-            Kind.NODE_CRASH, "", 0, node=node_name,
-            detail=f"killed {cancelled} process(es), lost {len(pending)} task(s)",
-        )
 
     def on_node_recovery(self, node_name: str) -> None:
         engine = self.engines.get(node_name)
@@ -885,7 +863,3 @@ class FaaSFlowSystem(WorkflowSystem):
             if engine.retrigger(workflow, version, invocation_id, function):
                 retriggered += 1
         self.retriggered += retriggered
-        self.trace(
-            Kind.NODE_RECOVERY, "", 0, node=node_name,
-            detail=f"retriggered {retriggered} task(s)",
-        )

@@ -1,12 +1,13 @@
 """Causal spans: the tree-structured execution trace.
 
 Every invocation becomes a span tree — one ``invocation`` root, one
-``function`` span per function task, and child spans for each stage the
-task passed through (``queue-wait``, ``cold-start``, ``execute``,
-``put``/``get``) — plus control-plane ``state-sync`` spans and
-node-track spans from the simulation substrate itself (network
-transfers with their contention-induced slowdown, container lifecycle
-events, FaaStore spills).
+``function`` span per function task (virtual step markers and
+unselected switch arms included, with status ``virtual``/``skipped``),
+and child spans for each stage the task passed through (``queue-wait``,
+``cold-start``, ``execute``, ``put``/``get``) — plus control-plane
+``state-sync`` spans and node-track spans from the simulation substrate
+itself (network transfers with their contention-induced slowdown,
+container lifecycle events, FaaStore spills).
 
 The tracer is opt-in and *zero-cost when disabled*: every producer
 holds :data:`NULL_SPANS`, a :class:`NullSpanTracer` whose methods are

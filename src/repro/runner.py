@@ -25,7 +25,6 @@ from .core import (
     EngineConfig,
     FaultInjector,
     GraphScheduler,
-    Tracer,
     hash_partition,
 )
 from .parallel import ParallelRunner, add_jobs_argument, derive_seed
@@ -84,9 +83,10 @@ def run_workflow(
 ) -> RunSummary:
     """Run ``dag`` and return a summary of what happened.
 
-    ``trace_out`` turns on span tracing + resource sampling and writes
-    the trace bundle (JSONL spans, Perfetto JSON, samples CSV, metrics
-    CSVs) into that directory.
+    ``trace`` turns on span tracing and returns the tracer as
+    ``summary.spans``.  ``trace_out`` turns on span tracing + resource
+    sampling and writes the trace bundle (JSONL spans, Perfetto JSON,
+    samples CSV, metrics CSVs) into that directory.
 
     ``telemetry_out`` turns on the streaming metrics registry and
     writes its snapshot as ``<workflow>-telemetry.json`` into that
@@ -101,7 +101,9 @@ def run_workflow(
     field and record is bit-identical under either scheduler.
     """
     if engine not in ENGINES:
-        raise ValueError("engine must be 'worker', 'master', or 'dataflow'")
+        raise ValueError(
+            f"engine must be one of {', '.join(map(repr, ENGINES))}"
+        )
     env = Environment(scheduler=kernel_scheduler)
     cluster = Cluster(
         env,
@@ -109,13 +111,16 @@ def run_workflow(
     )
     span_tracer = None
     sampler = None
-    if trace_out is not None:
-        from .obs import ResourceSampler, SpanTracer
+    if trace or trace_out is not None:
+        from .obs import SpanTracer
 
         # Must precede system construction: engines snapshot
         # cluster.spans when they are built.
         span_tracer = SpanTracer(env)
         cluster.install_spans(span_tracer)
+    if trace_out is not None:
+        from .obs import ResourceSampler
+
         sampler = ResourceSampler(cluster, interval=sample_interval)
         sampler.start()
     registry = None
@@ -126,7 +131,6 @@ def run_workflow(
         # they are built, so install before system construction.
         registry = MetricsRegistry(clock=lambda: env.now)
         cluster.install_telemetry(registry)
-    tracer = Tracer() if trace else None
     faults = (
         FaultInjector(default_rate=fault_rate, seed=seed)
         if fault_rate > 0
@@ -136,7 +140,7 @@ def run_workflow(
         ship_data=ship_data, max_retries=max_retries, tenant=tenant,
         eager_ship=eager_ship, batch_control=batch_control,
     )
-    system = ENGINES[engine](cluster, config, tracer=tracer, faults=faults)
+    system = ENGINES[engine](cluster, config, faults=faults)
     if engine == "master":
         system.register(dag, hash_partition(dag, cluster.worker_names()))
     else:
@@ -214,7 +218,6 @@ def run_workflow(
         cold_starts=sum(r.cold_starts for r in records),
         records=records,
         metrics=metrics,
-        tracer=tracer,
         spans=span_tracer,
         trace_paths=trace_paths,
         telemetry=telemetry_snapshot,
@@ -224,7 +227,7 @@ def run_workflow(
 
 
 # Fields of a RunSummary that survive the trip back from a worker
-# process (the live system/metrics/tracer objects hold simulation
+# process (the live system/metrics/spans objects hold simulation
 # generators and are neither picklable nor meaningful across trials).
 _SCALAR_FIELDS = (
     "workflow",
@@ -423,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="print the first invocation's execution timeline",
+        help="print the first invocation's span tree",
     )
     parser.add_argument(
         "--csv", metavar="DIR", help="export metrics CSVs to DIR"
@@ -532,9 +535,9 @@ def main(argv: list[str] | None = None) -> int:
         **run_kwargs,
     )
     print(_format_summary(summary))
-    if args.trace and summary.tracer is not None and summary.records:
-        print("\nfirst invocation timeline:")
-        print(summary.tracer.timeline(summary.records[0].invocation_id))
+    if args.trace and summary.records:
+        print("\nfirst invocation span tree:")
+        print(summary.spans.format_tree(summary.records[0].invocation_id))
     if args.csv:
         from .metrics.export import export_metrics
 

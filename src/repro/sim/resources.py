@@ -31,7 +31,6 @@ class UsageSampler:
         self._last_change = env.now
         self._area = 0.0
         self._peak = float(initial)
-        self._samples: list[tuple[float, float]] = [(env.now, float(initial))]
 
     @property
     def value(self) -> float:
@@ -41,36 +40,22 @@ class UsageSampler:
     def peak(self) -> float:
         return self._peak
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(self._samples)
-
     def set(self, value: float) -> None:
         now = self.env.now
         self._area += self._value * (now - self._last_change)
         self._last_change = now
         self._value = float(value)
         self._peak = max(self._peak, self._value)
-        self._samples.append((now, self._value))
 
     def add(self, delta: float) -> None:
         self.set(self._value + delta)
 
-    def average(self, since: float = 0.0) -> float:
-        """Time-weighted average of the signal from ``since`` to now."""
+    def average(self) -> float:
+        """Time-weighted average of the signal from time 0 to now."""
         now = self.env.now
-        if now <= since:
+        if now <= 0:
             return self._value
-        area = self._value * (now - self._last_change)
-        prev_t, prev_v = None, None
-        for t, v in self._samples:
-            if prev_t is not None:
-                lo = max(prev_t, since)
-                hi = min(t, now)
-                if hi > lo:
-                    area += prev_v * (hi - lo)
-            prev_t, prev_v = t, v
-        return area / (now - since)
+        return (self._area + self._value * (now - self._last_change)) / now
 
 
 class CPUAllocator:
@@ -114,9 +99,9 @@ class CPUAllocator:
     def queue_length(self) -> int:
         return self._resource.queue_length
 
-    def average_usage(self, since: float = 0.0) -> float:
-        """Average busy cores over [since, now]."""
-        return self.usage.average(since)
+    def average_usage(self) -> float:
+        """Average busy cores over [0, now]."""
+        return self.usage.average()
 
 
 @dataclass
@@ -191,5 +176,5 @@ class MemoryAccount:
             r.amount for r in self._reservations.values() if r.tag == tag
         )
 
-    def average_usage(self, since: float = 0.0) -> float:
-        return self.usage.average(since)
+    def average_usage(self) -> float:
+        return self.usage.average()

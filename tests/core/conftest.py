@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dag import WorkflowDAG
+from repro.obs import SpanKind, SpanTracer
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from repro.core import Placement
 
@@ -23,6 +24,36 @@ def cluster(env):
         storage_bandwidth=50 * MB,
     )
     return Cluster(env, config)
+
+
+@pytest.fixture
+def spans(cluster):
+    """A span tracer on ``cluster``; request it before building a system
+    (engines snapshot ``cluster.spans`` when they are constructed)."""
+    return traced(cluster)
+
+
+def traced(cluster):
+    """Install a span tracer on ``cluster`` and return it."""
+    tracer = SpanTracer(cluster.env)
+    cluster.install_spans(tracer)
+    return tracer
+
+
+# FUNCTION-span statuses of a step that completed: the runtime ran it,
+# or the engine stepped over a virtual marker or an unselected arm.
+COMPLETED = ("ok", "virtual", "skipped")
+
+
+def executions(spans, invocation_id):
+    """``({function: completions}, {function: end time})`` of one
+    invocation, read off its completed FUNCTION spans."""
+    counts, ends = {}, {}
+    for span in spans.spans_of(invocation_id):
+        if span.kind == SpanKind.FUNCTION and span.status in COMPLETED:
+            counts[span.function] = counts.get(span.function, 0) + 1
+            ends[span.function] = span.end
+    return counts, ends
 
 
 def linear_dag(name="lin", n=3, service_time=0.1, output_size=1 * MB):

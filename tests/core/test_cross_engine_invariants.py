@@ -11,25 +11,13 @@ scheduler implementations and shard counts.
 import pytest
 
 from repro.clients import run_closed_loop
-from repro.core import (
-    DataflowSystem,
-    EngineConfig,
-    FaaSFlowSystem,
-    HyperFlowServerlessSystem,
-    Tracer,
-    hash_partition,
-)
+from repro.core import ENGINES, EngineConfig, hash_partition
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
-from .conftest import MB, fanout_dag
+from .conftest import MB, executions, fanout_dag, traced
 
-ENGINES = ("master", "worker", "dataflow")
 SCHEDULERS = ("heap", "wheel")
-SYSTEM_CLASSES = {
-    "worker": FaaSFlowSystem,
-    "dataflow": DataflowSystem,
-}
 
 
 def drain(env):
@@ -39,7 +27,8 @@ def drain(env):
 def _run(engine, scheduler="heap", invocations=3, ship_data=True):
     """One full run of the reference fan-out on one engine; every
     engine sees the same DAG, the same hash placement, the same
-    closed-loop client, and the same invocation-id range."""
+    closed-loop client, and the same invocation-id range, with span
+    tracing on."""
     from repro.core.state import reset_invocation_ids
 
     reset_invocation_ids(1)
@@ -52,15 +41,13 @@ def _run(engine, scheduler="heap", invocations=3, ship_data=True):
             storage_bandwidth=50 * MB,
         ),
     )
-    tracer = Tracer()
-    config = EngineConfig(ship_data=ship_data)
+    spans = traced(cluster)
     dag = fanout_dag(branches=3)
     placement = hash_partition(dag, cluster.worker_names())
+    system = ENGINES[engine](cluster, EngineConfig(ship_data=ship_data))
     if engine == "master":
-        system = HyperFlowServerlessSystem(cluster, config, tracer=tracer)
         system.register(dag, placement)
     else:
-        system = SYSTEM_CLASSES[engine](cluster, config, tracer=tracer)
         system.deploy(
             dag,
             placement,
@@ -68,7 +55,7 @@ def _run(engine, scheduler="heap", invocations=3, ship_data=True):
         )
     records = run_closed_loop(system, dag.name, invocations)
     drain(env)
-    return env, cluster, system, tracer, records, dag
+    return env, cluster, system, spans, records, dag
 
 
 class TestSameWorkEverywhere:
@@ -76,10 +63,10 @@ class TestSameWorkEverywhere:
     def test_every_engine_executes_the_same_functions(self, scheduler):
         expected = None
         for engine in ENGINES:
-            _, _, _, tracer, records, dag = _run(engine, scheduler)
+            _, _, _, spans, records, dag = _run(engine, scheduler)
             assert all(r.status == InvocationStatus.OK for r in records)
             executed = {
-                r.invocation_id: tracer.execution_counts(r.invocation_id)
+                r.invocation_id: executions(spans, r.invocation_id)[0]
                 for r in records
             }
             for counts in executed.values():
@@ -111,35 +98,7 @@ class TestSameWorkEverywhere:
 class TestExactSumBreakdown:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_components_sum_to_e2e(self, engine):
-        from repro.obs import SpanTracer
-
-        env = Environment()
-        cluster = Cluster(
-            env,
-            ClusterConfig(
-                workers=3,
-                container=ContainerSpec(cold_start_time=0.1),
-                storage_bandwidth=50 * MB,
-            ),
-        )
-        # Spans must precede system construction (engines snapshot
-        # cluster.spans when built).
-        cluster.install_spans(SpanTracer(env))
-        dag = fanout_dag(branches=3)
-        placement = hash_partition(dag, cluster.worker_names())
-        config = EngineConfig(ship_data=True)
-        if engine == "master":
-            system = HyperFlowServerlessSystem(cluster, config)
-            system.register(dag, placement)
-        else:
-            system = SYSTEM_CLASSES[engine](cluster, config)
-            system.deploy(
-                dag,
-                placement,
-                quotas={w.name: 64 * MB for w in cluster.workers},
-            )
-        records = run_closed_loop(system, dag.name, 3)
-        drain(env)
+        _, _, system, _, records, _ = _run(engine)
         for record in records:
             parts = system.metrics.breakdown(record.invocation_id)
             assert parts["measured"] is True

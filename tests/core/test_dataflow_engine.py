@@ -13,12 +13,18 @@ from repro.core import (
     FaultInjector,
     FaultPlan,
     NodeCrash,
-    Tracer,
 )
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
-from .conftest import MB, all_on, fanout_dag, linear_dag, round_robin
+from .conftest import (
+    MB,
+    all_on,
+    executions,
+    fanout_dag,
+    linear_dag,
+    round_robin,
+)
 
 
 def drain(env):
@@ -75,35 +81,26 @@ class TestTriggering:
             for engine in system.engines.values()
         )
 
-    def test_every_function_executes_exactly_once(self, env, cluster):
-        tracer = Tracer()
-        system = DataflowSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
-        )
+    def test_every_function_executes_exactly_once(self, env, cluster, spans):
+        system = make_system(cluster)
         dag = fanout_dag(branches=4)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         records = run_closed_loop(system, "fan", 3)
         drain(env)
         for record in records:
             assert record.status == InvocationStatus.OK
-            counts = tracer.execution_counts(record.invocation_id)
+            counts, _ = executions(spans, record.invocation_id)
             assert counts == {name: 1 for name in dag.node_names}
 
-    def test_join_waits_for_all_predecessors(self, env, cluster):
+    def test_join_waits_for_all_predecessors(self, env, cluster, spans):
         """The tail of a fan-out must fire on its *last* token, never
         on the first."""
-        tracer = Tracer()
-        system = DataflowSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
-        )
+        system = make_system(cluster)
         dag = fanout_dag(branches=3)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = env.run(until=env.process(system.invoke("fan")))
         assert record.status == InvocationStatus.OK
-        executed_at = {}
-        for event in tracer.of_invocation(record.invocation_id):
-            if event.kind == "function-executed":
-                executed_at[event.function] = event.time
+        _, executed_at = executions(spans, record.invocation_id)
         assert executed_at["tail"] >= max(
             executed_at[f"b{i}"] for i in range(3)
         )

@@ -1,8 +1,8 @@
 """Property-based end-to-end tests: random workflows, hard invariants.
 
-Hypothesis generates random WDL-shaped workflows; both engines execute
-them on fresh clusters with tracing on, and the invariants that define
-a correct workflow engine are asserted:
+Hypothesis generates random WDL-shaped workflows; every engine executes
+them on fresh clusters with span tracing on, and the invariants that
+define a correct workflow engine are asserted:
 
 - the invocation completes,
 - every function (including virtual step markers) executes exactly once,
@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 
 from repro.clients import run_closed_loop
 from repro.core import (
+    ENGINES,
     EngineConfig,
     FaaSFlowSystem,
-    HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
     hash_partition,
 )
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from repro.wdl import workflow_from_dict
+
+from .conftest import executions, traced
 
 MB = 1024.0 * 1024.0
 
@@ -73,79 +73,56 @@ def random_wdl(draw):
 
 def fresh_cluster():
     env = Environment()
-    return Cluster(
+    cluster = Cluster(
         env,
         ClusterConfig(
             workers=3,
             container=ContainerSpec(cold_start_time=0.05),
         ),
     )
+    return cluster, traced(cluster)
 
 
-def check_invariants(dag, tracer, record):
+def check_invariants(dag, spans, record):
     assert record.status == "ok"
-    counts = tracer.execution_counts(record.invocation_id)
+    counts, ends = executions(spans, record.invocation_id)
     assert counts == {name: 1 for name in dag.node_names}
-    inv = record.invocation_id
     for edge in dag.edges:
-        assert tracer.execution_time(inv, edge.src) <= (
-            tracer.execution_time(inv, edge.dst) + 1e-12
-        )
+        assert ends[edge.src] <= ends[edge.dst] + 1e-12
+
+
+def run_once(engine, document, ship_data):
+    """Start ``document`` once on a fresh traced cluster; return the
+    DAG, the span tracer and the invocation record."""
+    dag = workflow_from_dict(document)
+    cluster, spans = fresh_cluster()
+    system = ENGINES[engine](cluster, EngineConfig(ship_data=ship_data))
+    placement = hash_partition(dag, cluster.worker_names())
+    if engine == "master":
+        system.register(dag, placement)
+    else:
+        system.deploy(dag, placement)
+        for worker in cluster.workers:
+            worker.set_faastore_quota(256 * MB, workflow=dag.name)
+    record = run_closed_loop(system, dag.name, 1)[0]
+    return dag, spans, record
 
 
 class TestRandomWorkflows:
+    @pytest.mark.parametrize("engine", ENGINES)
     @settings(max_examples=30, deadline=None)
     @given(document=random_wdl(), ship_data=st.booleans())
-    def test_worker_sp_invariants(self, document, ship_data):
-        dag = workflow_from_dict(document)
-        cluster = fresh_cluster()
-        tracer = Tracer()
-        system = FaaSFlowSystem(
-            cluster, EngineConfig(ship_data=ship_data), tracer=tracer
-        )
-        system.deploy(dag, hash_partition(dag, cluster.worker_names()))
-        for worker in cluster.workers:
-            worker.set_faastore_quota(256 * MB, workflow=dag.name)
-        record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
-
-    @settings(max_examples=30, deadline=None)
-    @given(document=random_wdl(), ship_data=st.booleans())
-    def test_master_sp_invariants(self, document, ship_data):
-        dag = workflow_from_dict(document)
-        cluster = fresh_cluster()
-        tracer = Tracer()
-        system = HyperFlowServerlessSystem(
-            cluster, EngineConfig(ship_data=ship_data), tracer=tracer
-        )
-        system.register(dag, hash_partition(dag, cluster.worker_names()))
-        record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
+    def test_engine_invariants(self, engine, document, ship_data):
+        check_invariants(*run_once(engine, document, ship_data))
 
     @settings(max_examples=15, deadline=None)
     @given(document=random_wdl())
     def test_both_engines_run_the_same_functions(self, document):
         """The two schedule patterns must execute identical work."""
-        dag_w = workflow_from_dict(document)
-        cluster_w = fresh_cluster()
-        tracer_w = Tracer()
-        worker = FaaSFlowSystem(
-            cluster_w, EngineConfig(ship_data=False), tracer=tracer_w
-        )
-        worker.deploy(dag_w, hash_partition(dag_w, cluster_w.worker_names()))
-        record_w = run_closed_loop(worker, dag_w.name, 1)[0]
-
-        dag_m = workflow_from_dict(document)
-        cluster_m = fresh_cluster()
-        tracer_m = Tracer()
-        master = HyperFlowServerlessSystem(
-            cluster_m, EngineConfig(ship_data=False), tracer=tracer_m
-        )
-        master.register(dag_m, hash_partition(dag_m, cluster_m.worker_names()))
-        record_m = run_closed_loop(master, dag_m.name, 1)[0]
-
-        assert tracer_w.execution_counts(record_w.invocation_id) == (
-            tracer_m.execution_counts(record_m.invocation_id)
+        _, spans_w, record_w = run_once("worker", document, False)
+        _, spans_m, record_m = run_once("master", document, False)
+        assert executions(spans_w, record_w.invocation_id)[0] == (
+            executions(spans_m, record_m.invocation_id)[0]
         )
 
     @settings(max_examples=15, deadline=None)
@@ -156,14 +133,11 @@ class TestRandomWorkflows:
         from repro.dag import estimate_edge_weights
 
         dag = workflow_from_dict(document)
-        cluster = fresh_cluster()
-        tracer = Tracer()
-        system = FaaSFlowSystem(
-            cluster, EngineConfig(ship_data=True), tracer=tracer
-        )
+        cluster, spans = fresh_cluster()
+        system = FaaSFlowSystem(cluster, EngineConfig(ship_data=True))
         scheduler = GraphScheduler(cluster, seed=seed)
         estimate_edge_weights(dag, bandwidth=cluster.config.storage_bandwidth)
         placement, quotas, _ = scheduler.schedule(dag, force_grouping=True)
         system.deploy(dag, placement, quotas=quotas)
         record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
+        check_invariants(dag, spans, record)

@@ -8,8 +8,9 @@ from repro.core import (
     MonolithicSystem,
 )
 from repro.metrics import InvocationStatus
+from repro.obs import SpanKind
 
-from .conftest import MB, all_on, fanout_dag, linear_dag
+from .conftest import MB, all_on, executions, fanout_dag, linear_dag
 
 
 class TestMonolithicExecution:
@@ -37,21 +38,18 @@ class TestMonolithicExecution:
 
 
 class TestMonolithicTracing:
-    def test_tracer_brackets_invocation(self, env, cluster):
-        from repro.core import Kind, Tracer
-
-        tracer = Tracer()
-        system = MonolithicSystem(cluster, tracer=tracer)
+    def test_tracer_brackets_invocation(self, env, cluster, spans):
+        system = MonolithicSystem(cluster)
         dag = linear_dag(n=3)
         system.register(dag)
         record = env.run(until=env.process(system.invoke("lin")))
-        events = tracer.of_invocation(record.invocation_id)
-        assert events[0].kind == Kind.INVOCATION_START
-        assert events[-1].kind == Kind.INVOCATION_END
-        assert events[-1].detail == "ok"
-        executed = [e for e in events if e.kind == Kind.FUNCTION_EXECUTED]
-        assert {e.function for e in executed} == set(dag.node_names)
-        assert all(e.node == "worker-0" for e in executed)
+        root = spans.root_of(record.invocation_id)
+        assert (root.start, root.end) == (record.started_at, record.finished_at)
+        assert root.status == "ok"
+        counts, ends = executions(spans, record.invocation_id)
+        assert counts == {name: 1 for name in dag.node_names}
+        assert all(root.start <= end <= root.end for end in ends.values())
+        assert all(s.node == "worker-0" for s in spans.of_kind(SpanKind.FUNCTION))
 
     def test_span_tracer_produces_tree(self, env, cluster):
         from repro.obs import SpanKind, SpanTracer
@@ -73,7 +71,6 @@ class TestMonolithicTracing:
 
     def test_untraced_by_default(self, env, cluster):
         system = MonolithicSystem(cluster)
-        assert system.tracer is None
         assert system.spans.enabled is False
 
 

@@ -21,17 +21,15 @@ from repro.core import (
     FaultDriver,
     FaultPlan,
     HyperFlowServerlessSystem,
-    Kind,
     NodeCrash,
     Placement,
-    Tracer,
     hash_partition,
 )
 from repro.core.state import EXECUTED, TRIGGERED, reset_invocation_ids
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
-from .conftest import MB, fanout_dag, linear_dag
+from .conftest import MB, executions, fanout_dag, linear_dag, traced
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -224,9 +222,11 @@ class TestStateRetirement:
 class TestBatchedControlPlane:
     """Tentpole pin: batch_control changes timing, never outcomes."""
 
-    def _system(self, engine, batch, **config_kwargs):
+    def _system(self, engine, batch, spans=False, **config_kwargs):
         reset_invocation_ids(1)
         cluster = make_cluster(workers=2)
+        if spans:
+            traced(cluster)
         system = make_system(
             engine, cluster, batch_control=batch, **config_kwargs
         )
@@ -298,15 +298,9 @@ class TestBatchedControlPlane:
         whole and replayed on recovery, with the plain path's outcomes."""
         # Probe: the fan-out message leaves when head finishes, and
         # takes at least the network latency (0.5 ms) to arrive.
-        system, dag = self._system(engine, batch=True)
-        system.tracer = Tracer()
-        run_closed_loop(system, dag.name, 1)
-        head_done = next(
-            event.time
-            for event in system.tracer.events
-            if event.kind == Kind.FUNCTION_EXECUTED
-            and event.function == "head"
-        )
+        system, dag = self._system(engine, batch=True, spans=True)
+        record = run_closed_loop(system, dag.name, 1)[0]
+        head_done = executions(system.spans, record.invocation_id)[1]["head"]
         crash_at = head_done + 0.0002
         outcomes = {}
         for batch in (False, True):

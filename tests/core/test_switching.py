@@ -4,15 +4,17 @@ import pytest
 
 from repro.clients import run_closed_loop
 from repro.core import (
+    ENGINES,
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
     hash_partition,
 )
 from repro.core.switching import is_skipped, selected_case
+from repro.obs import SpanKind
 from repro.wdl import parse_workflow
+
+from .conftest import traced
 
 SWITCH_WDL = """
 name: moderation
@@ -115,24 +117,23 @@ class TestEngineExecution:
                 workers=2, container=ContainerSpec(cold_start_time=0.01)
             ),
         )
-        tracer = Tracer()
+        spans = traced(cluster)
         dag = parse_workflow(SWITCH_WDL)
         dag.node("verdict.start").metadata["force_case"] = force_case
         config = EngineConfig(ship_data=False, evaluate_switches=True)
+        system = engine_cls(cluster, config)
         if engine_cls is HyperFlowServerlessSystem:
-            system = HyperFlowServerlessSystem(cluster, config, tracer=tracer)
             system.register(dag, hash_partition(dag, cluster.worker_names()))
         else:
-            system = FaaSFlowSystem(cluster, config, tracer=tracer)
             system.deploy(dag, hash_partition(dag, cluster.worker_names()))
         records = run_closed_loop(system, dag.name, invocations)
-        return records, tracer, cluster
+        return records, spans, cluster
 
     @pytest.mark.parametrize(
         "engine_cls", [FaaSFlowSystem, HyperFlowServerlessSystem]
     )
     def test_only_selected_arm_uses_containers(self, engine_cls):
-        records, tracer, cluster = self.run_system(engine_cls, force_case=1)
+        records, _, cluster = self.run_system(engine_cls, force_case=1)
         assert records[0].status == "ok"
         live = set()
         for worker in cluster.workers:
@@ -140,14 +141,15 @@ class TestEngineExecution:
         assert "approve" in live
         assert "blur" not in live  # skipped arm never got a container
 
-    def test_skipped_functions_traced_as_skipped(self):
-        _, tracer, _ = self.run_system(FaaSFlowSystem, force_case=1)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_skipped_functions_traced_as_skipped(self, engine):
+        _, spans, _ = self.run_system(ENGINES[engine], force_case=1)
         skipped = [
-            e.function
-            for e in tracer.of_kind(Kind.FUNCTION_EXECUTED)
-            if e.detail == "skipped"
+            s.function
+            for s in spans.of_kind(SpanKind.FUNCTION)
+            if s.status == "skipped"
         ]
-        assert set(skipped) == {"blur", "re-upload"}
+        assert sorted(skipped) == ["blur", "re-upload"]
 
     def test_skipping_shortens_latency(self):
         slow_records, _, _ = self.run_system(FaaSFlowSystem, force_case=0)

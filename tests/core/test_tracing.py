@@ -1,150 +1,107 @@
-"""Tests for execution tracing and engine execution invariants."""
+"""Engine execution invariants, read off the span trace."""
 
-import pytest
-
-from repro.core import (
-    EngineConfig,
-    FaaSFlowSystem,
-    HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
-)
+from repro.core import EngineConfig, FaaSFlowSystem, HyperFlowServerlessSystem
 from repro.clients import run_closed_loop
+from repro.obs import SpanKind
 
-from .conftest import all_on, fanout_dag, linear_dag, round_robin
-
-
-def make_traced_faasflow(cluster, **config_kwargs):
-    config_kwargs.setdefault("ship_data", False)
-    tracer = Tracer()
-    system = FaaSFlowSystem(
-        cluster, EngineConfig(**config_kwargs), tracer=tracer
-    )
-    return system, tracer
+from .conftest import all_on, executions, fanout_dag, linear_dag, round_robin
 
 
-class TestTracerBasics:
-    def test_records_accumulate(self):
-        tracer = Tracer()
-        tracer.record(1.0, Kind.INVOCATION_START, "w", 1)
-        tracer.record(2.0, Kind.INVOCATION_END, "w", 1, detail="ok")
-        assert tracer.count(Kind.INVOCATION_START) == 1
-        assert len(tracer.of_invocation(1)) == 2
-
-    def test_limit_drops_excess(self):
-        tracer = Tracer(limit=2)
-        for i in range(5):
-            tracer.record(float(i), Kind.STATE_SYNC, "w", 1)
-        assert len(tracer.events) == 2
-        assert tracer.dropped == 3
-
-    def test_limit_keeps_newest_events(self):
-        tracer = Tracer(limit=3)
-        for i in range(7):
-            tracer.record(float(i), Kind.STATE_SYNC, "w", i)
-        # Drop-oldest: the tail of the stream survives, not the head.
-        assert [e.time for e in tracer.events] == [4.0, 5.0, 6.0]
-        assert tracer.dropped == 4
-        tracer.record(7.0, Kind.STATE_SYNC, "w", 7)
-        assert [e.time for e in tracer.events] == [5.0, 6.0, 7.0]
-        assert tracer.dropped == 5
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(limit=0)
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, Kind.STATE_SYNC, "w", 1)
-        tracer.clear()
-        assert not tracer.events
+def make_faasflow(cluster):
+    return FaaSFlowSystem(cluster, EngineConfig(ship_data=False))
 
 
 class TestWorkerSPTracing:
-    def test_invocation_bracketed(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_invocation_bracketed(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = linear_dag(n=2)
         system.deploy(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
-        events = tracer.of_invocation(record.invocation_id)
-        assert events[0].kind == Kind.INVOCATION_START
-        assert events[-1].kind == Kind.INVOCATION_END
-        assert events[-1].detail == "ok"
+        root = spans.root_of(record.invocation_id)
+        assert root.status == "ok"
+        assert (root.start, root.end) == (record.started_at, record.finished_at)
+        for span in spans.spans_of(record.invocation_id):
+            assert root.start <= span.start <= span.end <= root.end
 
-    def test_every_function_executes_exactly_once(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_every_function_executes_exactly_once(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = fanout_dag(branches=4)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = run_closed_loop(system, "fan", 1)[0]
-        counts = tracer.execution_counts(record.invocation_id)
+        counts, _ = executions(spans, record.invocation_id)
         assert counts == {name: 1 for name in dag.node_names}
 
-    def test_execution_respects_predecessor_order(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_execution_respects_predecessor_order(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = fanout_dag(branches=3)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = run_closed_loop(system, "fan", 1)[0]
-        inv = record.invocation_id
+        _, ends = executions(spans, record.invocation_id)
         for edge in dag.edges:
-            assert tracer.execution_time(inv, edge.src) <= (
-                tracer.execution_time(inv, edge.dst)
-            )
+            assert ends[edge.src] <= ends[edge.dst]
 
-    def test_cold_starts_traced_once_then_warm(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_cold_starts_traced_once_then_warm(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = linear_dag(n=3)
         system.deploy(dag, all_on(dag, "worker-1"))
         run_closed_loop(system, "lin", 2)
-        assert tracer.count(Kind.COLD_START) == 3  # only the first run
+        assert len(spans.of_kind(SpanKind.COLD_START)) == 3  # first run only
 
-    def test_state_sync_only_for_cross_worker_edges(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_state_sync_only_for_cross_worker_edges(self, env, cluster, spans):
+        def worker_syncs():
+            return [
+                s for s in spans.of_kind(SpanKind.STATE_SYNC)
+                if s.attrs["role"] == "state"
+            ]
+
+        system = make_faasflow(cluster)
         dag = linear_dag(n=4)
         system.deploy(dag, all_on(dag, "worker-0"))
         run_closed_loop(system, "lin", 1)
-        assert tracer.count(Kind.STATE_SYNC) == 0
-        tracer.clear()
+        assert worker_syncs() == []
+        spans.clear()
         dag2 = linear_dag(name="lin2", n=4)
         system.deploy(dag2, round_robin(dag2, ["worker-0", "worker-1"]))
         run_closed_loop(system, "lin2", 1)
-        assert tracer.count(Kind.STATE_SYNC) == 3
+        assert len(worker_syncs()) == 3
 
-    def test_executed_node_matches_placement(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_executed_node_matches_placement(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = linear_dag(n=3)
         placement = round_robin(dag, cluster.worker_names())
         system.deploy(dag, placement)
         record = run_closed_loop(system, "lin", 1)[0]
-        for event in tracer.of_invocation(record.invocation_id):
-            if event.kind == Kind.FUNCTION_EXECUTED:
-                assert event.node == placement.node_of(event.function)
+        functions = [
+            s for s in spans.spans_of(record.invocation_id)
+            if s.kind == SpanKind.FUNCTION
+        ]
+        assert len(functions) == 3
+        for span in functions:
+            assert span.node == placement.node_of(span.function)
 
-    def test_timeline_renders(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+    def test_timeline_renders(self, env, cluster, spans):
+        system = make_faasflow(cluster)
         dag = linear_dag(n=2)
         system.deploy(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
-        text = tracer.timeline(record.invocation_id)
-        assert "invocation-start" in text
-        assert "f0 @worker-0" in text
-
-    def test_execution_time_unknown_function_raises(self):
-        tracer = Tracer()
-        with pytest.raises(KeyError):
-            tracer.execution_time(1, "ghost")
+        text = spans.format_tree(record.invocation_id)
+        assert text.splitlines()[0].endswith("invocation")
+        assert "function f0 @worker-0" in text
 
 
 class TestMasterSPTracing:
-    def test_assignments_traced(self, env, cluster):
-        tracer = Tracer()
-        system = HyperFlowServerlessSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
-        )
+    def test_assignments_traced(self, env, cluster, spans):
+        system = HyperFlowServerlessSystem(cluster, EngineConfig(ship_data=False))
         dag = linear_dag(n=3)
         system.register(dag, all_on(dag, "worker-2"))
         record = run_closed_loop(system, "lin", 1)[0]
-        assert tracer.count(Kind.TASK_ASSIGNED) == 3
-        counts = tracer.execution_counts(record.invocation_id)
+        assigns = [
+            s for s in spans.of_kind(SpanKind.STATE_SYNC)
+            if s.attrs["role"] == "assign"
+        ]
+        assert len(assigns) == 3
+        assert {s.attrs["dst"] for s in assigns} == {"worker-2"}
+        counts, _ = executions(spans, record.invocation_id)
         assert counts == {name: 1 for name in dag.node_names}
 
     def test_no_tracer_costs_nothing(self, env, cluster):
@@ -155,3 +112,4 @@ class TestMasterSPTracing:
         system.register(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
         assert record.status == "ok"
+        assert system.spans.enabled is False

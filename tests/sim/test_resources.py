@@ -36,17 +36,6 @@ class TestUsageSampler:
         # 5 s at 0 + 5 s at 10 -> average 5.
         assert sampler.average() == pytest.approx(5.0)
 
-    def test_average_since_midpoint(self, env):
-        sampler = UsageSampler(env)
-
-        def step(env, sampler):
-            yield env.timeout(5.0)
-            sampler.set(10.0)
-
-        env.process(step(env, sampler))
-        env.run(until=10.0)
-        assert sampler.average(since=5.0) == pytest.approx(10.0)
-
     def test_peak_tracks_maximum(self, env):
         sampler = UsageSampler(env)
         sampler.set(3.0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.obs import SpanKind
 from repro.runner import main, run_workflow
 from repro.workloads import build
 
@@ -51,8 +52,14 @@ class TestRunWorkflow:
         summary = run_workflow(
             build("word-count"), invocations=1, trace=True, workers=2
         )
-        assert summary.tracer is not None
-        assert summary.tracer.events
+        spans = summary.spans
+        invocation = summary.records[0].invocation_id
+        assert spans.root_of(invocation).status == "ok"
+        executed = {
+            s.function for s in spans.spans_of(invocation)
+            if s.kind == SpanKind.FUNCTION
+        }
+        assert executed == set(build("word-count").node_names)
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +123,9 @@ steps:
 
     def test_trace_flag_prints_timeline(self, capsys):
         assert main(["FP", "--invocations", "1", "--trace", "--workers", "2"]) == 0
-        assert "invocation-start" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "first invocation span tree:" in out
+        assert "  function " in out
 
 
 class TestFaultInjection:
