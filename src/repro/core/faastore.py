@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..dag import WorkflowDAG
-from ..metrics import MetricsCollector, TransferEvent
+from ..metrics import MetricsCollector
 from ..obs.spans import SpanKind
 from ..sim import Cluster, KeyNotFoundError, Node
 from .state import InvocationID, Placement
@@ -51,6 +51,11 @@ class DataPolicy:
         self.cluster = cluster
         self.metrics = metrics
         self.env = cluster.env
+        # (workflow, invocation) -> producer -> chunk -> (key, stores the
+        # key was written to): what cleanup_invocation has to delete.
+        self._written: dict[
+            tuple[str, InvocationID], dict[str, dict[int, tuple[str, list]]]
+        ] = {}
 
     # -- API driven by the function runtime (as sim processes) -----------
     def save_output(
@@ -81,14 +86,42 @@ class DataPolicy:
     def cleanup_invocation(
         self, dag: WorkflowDAG, invocation_id: InvocationID
     ) -> None:
-        """Drop any remaining objects of a finished invocation."""
+        """Drop any remaining objects of a finished invocation.
+
+        Deletes only the keys the invocation wrote, from the stores it
+        wrote them to, in the order a sweep over every (DAG node, chunk)
+        key of every store would reach them: a memory store's usage
+        gauge is a float accumulator, so its deletes keep their order.
+        """
+        written = self._written.pop((dag.name, invocation_id), None)
+        if written is None:
+            return
         for node_obj in dag.nodes:
-            chunks = max(1, int(round(node_obj.map_factor)))
-            for chunk in range(chunks):
-                key = object_key(dag.name, invocation_id, node_obj.name, chunk)
-                self.cluster.remote_store.delete(key)
-                for worker in self.cluster.workers:
-                    worker.memstore.delete(key)
+            chunks = written.get(node_obj.name)
+            if chunks is None:
+                continue
+            limit = max(1, int(round(node_obj.map_factor)))
+            for chunk in sorted(chunks):
+                if chunk < limit:  # the sweep's range for this node
+                    key, stores = chunks[chunk]
+                    for store in stores:
+                        store.delete(key)
+
+    def _wrote(self, dag, invocation_id, producer, chunk, key, store) -> None:
+        """Note that ``store`` took ``key`` (the remote put, when there is
+        one, is issued before any cache copy of the same key)."""
+        slot = (dag.name, invocation_id)
+        producers = self._written.get(slot)
+        if producers is None:
+            producers = self._written[slot] = {}
+        chunks = producers.get(producer)
+        if chunks is None:
+            chunks = producers[producer] = {}
+        entry = chunks.get(chunk)
+        if entry is None:
+            chunks[chunk] = (key, [store])
+        elif store not in entry[1]:
+            entry[1].append(store)
 
     # -- shared helpers ----------------------------------------------------
     def _record(
@@ -103,17 +136,8 @@ class DataPolicy:
         local: bool,
         node: str = "",
     ) -> None:
-        self.metrics.record_transfer(
-            TransferEvent(
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                producer=producer,
-                consumer=consumer,
-                size=size,
-                duration=duration,
-                phase=phase,
-                local=local,
-            )
+        self.metrics.transfers.add(
+            dag.name, invocation_id, producer, consumer, size, duration, phase, local
         )
         telemetry = self.cluster.telemetry
         if telemetry.enabled:
@@ -151,7 +175,9 @@ class DataPolicy:
     def _remote_put(self, node, dag, invocation_id, function, chunk, size):
         key = object_key(dag.name, invocation_id, function, chunk)
         start = self.env.now
-        yield self.cluster.remote_store.put(key, size, src=node.nic, tag=key)
+        store = self.cluster.remote_store
+        self._wrote(dag, invocation_id, function, chunk, key, store)
+        yield store.put(key, size, src=node.nic, tag=key)
         self._record(
             dag, invocation_id, function, "", size, self.env.now - start,
             "put", local=False, node=node.name,
@@ -247,6 +273,7 @@ class FaaStorePolicy(DataPolicy):
             start = self.env.now
             done = node.memstore.try_put(key, size)
             if done is not None:
+                self._wrote(dag, invocation_id, function, chunk, key, node.memstore)
                 # Each consumer function fetches each chunk once.
                 self._refcounts[(key, node.name)] = len(consumers)
                 yield done
@@ -262,6 +289,7 @@ class FaaStorePolicy(DataPolicy):
             # the bytes that are already here instead of re-fetching.
             seeded = node.memstore.try_put(key, size)
             if seeded is not None:
+                self._wrote(dag, invocation_id, function, chunk, key, node.memstore)
                 self._refcounts[(key, node.name)] = len(local_consumers)
                 yield seeded
             else:
@@ -319,6 +347,9 @@ class FaaStorePolicy(DataPolicy):
             if siblings_pending > 0 and key not in node.memstore:
                 seeded = node.memstore.try_put(key, size)
                 if seeded is not None:
+                    self._wrote(
+                        dag, invocation_id, producer, chunk, key, node.memstore
+                    )
                     self._refcounts[cache_slot] = siblings_pending
                     yield seeded
                 else:
@@ -370,6 +401,9 @@ class FaaStorePolicy(DataPolicy):
             )
             seeded = dst_node.memstore.try_put(key, size)
             if seeded is not None:
+                self._wrote(
+                    dag, invocation_id, producer, chunk, key, dst_node.memstore
+                )
                 self._refcounts[slot] = consumers_on_node
                 yield seeded
                 self._record_push(
@@ -387,17 +421,8 @@ class FaaStorePolicy(DataPolicy):
         self, dag, invocation_id, producer, size, duration, node: str
     ) -> None:
         """Account an eager push (phase ``"push"``, worker-to-worker)."""
-        self.metrics.record_transfer(
-            TransferEvent(
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                producer=producer,
-                consumer="",
-                size=size,
-                duration=duration,
-                phase="push",
-                local=False,
-            )
+        self.metrics.transfers.add(
+            dag.name, invocation_id, producer, "", size, duration, "push", False
         )
         telemetry = self.cluster.telemetry
         if telemetry.enabled:

@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..dag import WorkflowDAG
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-    TransferEvent,
-)
+from ..metrics import InvocationRecord, InvocationStatus, MetricsCollector
 from ..obs.spans import SpanKind
 from ..sim import Cluster, Node
 from .state import InvocationState, new_invocation_id
@@ -127,17 +122,9 @@ class MonolithicSystem:
                 rate = self.cluster.network.config.local_copy_rate
                 duration = node_meta.output_size / rate
                 yield self.env.timeout(duration)
-                self.metrics.record_transfer(
-                    TransferEvent(
-                        workflow=dag.name,
-                        invocation_id=invocation_id,
-                        producer=function,
-                        consumer="",
-                        size=node_meta.output_size,
-                        duration=duration,
-                        phase="put",
-                        local=True,
-                    )
+                self.metrics.transfers.add(
+                    dag.name, invocation_id, function, "",
+                    node_meta.output_size, duration, "put", True,
                 )
                 if spans.enabled:
                     spans.record(

@@ -4,7 +4,8 @@ The experiments (paper §5) report scheduling overhead, data-movement
 latency, tail latency, and throughput degradation.  Everything they
 need is recorded here: one :class:`InvocationRecord` per workflow
 invocation and one :class:`TransferEvent` per data-plane storage
-operation, plus aggregation helpers (percentiles, averages).
+operation (kept in a columnar :class:`~repro.metrics.ledger.Ledger`),
+plus aggregation helpers (percentiles, averages).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..obs.spans import BREAKDOWN_COMPONENTS, decompose
+from .ledger import Ledger
 
 __all__ = [
     "InvocationRecord",
@@ -95,7 +97,10 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.invocations: list[InvocationRecord] = []
-        self.transfers: list[TransferEvent] = []
+        # Writers on the hot path book a row with
+        # ``transfers.add(workflow, invocation_id, producer, consumer,
+        # size, duration, phase, local)``; reads yield TransferEvents.
+        self.transfers = Ledger(TransferEvent)
         # A SpanTracer attached by an engine when span tracing is on;
         # enables the measured latency decomposition below.
         self.spans = None
@@ -244,12 +249,22 @@ class MetricsCollector:
         )
 
     def mean_transfer_latency_per_invocation(self, workflow: str) -> float:
-        ids = {t.invocation_id for t in self.transfers_of(workflow)}
-        if not ids:
+        """Mean over invocations of :meth:`transfer_latency`, in one pass."""
+        column = self.transfers.column
+        totals: dict = {}
+        for name, invocation_id, duration in zip(
+            column("workflow"), column("invocation_id"), column("duration")
+        ):
+            if name == workflow:
+                # Starts at int 0 and adds in ledger order, like sum().
+                totals[invocation_id] = totals.get(invocation_id, 0) + duration
+        if not totals:
             return 0.0
-        return sum(
-            self.transfer_latency(workflow, i) for i in ids
-        ) / len(ids)
+        # Add the per-invocation totals in the iteration order of a set
+        # built in first-seen order (as the per-id formula summed them),
+        # so the float result does not change.
+        ids = {invocation_id for invocation_id in totals}
+        return sum(totals[invocation_id] for invocation_id in ids) / len(ids)
 
     def local_fraction(self, workflow: str) -> float:
         """Fraction of storage bytes served locally (FaaStore hit rate)."""

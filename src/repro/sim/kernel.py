@@ -218,7 +218,12 @@ class Timeout(Event):
             self._state = PROCESSED
             self.callbacks.clear()
             return
-        Event._process_callbacks(self)
+        # Event._process_callbacks inlined: timeouts are most of the
+        # events dispatched.
+        self._state = PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
 
 class _Resume:
@@ -229,14 +234,14 @@ class _Resume:
     yielded an already-processed event, interrupt delivery).  A ``_Resume``
     never escapes the kernel, so ``step()`` recycles it through a
     per-environment free-list.  It quacks like a triggered event for the
-    one consumer it has: ``Process._resume`` reads ``ok`` and ``_value``.
+    one consumer it has: ``Process._resume`` reads ``_ok`` and ``_value``.
     """
 
-    __slots__ = ("_callback", "ok", "_value")
+    __slots__ = ("_callback", "_ok", "_value")
 
     def __init__(self, callback: Callable[["_Resume"], None], ok: bool, value: Any):
         self._callback = callback
-        self.ok = ok
+        self._ok = ok
         self._value = value
 
     def _process_callbacks(self) -> None:
@@ -349,6 +354,15 @@ class Process(Event):
 
     A process is itself an event: it triggers (with the generator's return
     value) when the generator exits, so processes can wait on each other.
+
+    A process that exits normally while nothing waits on it is marked
+    processed on the spot instead of queueing a completion event no
+    callback would receive.  Skipping that queue entry only renumbers
+    later entries, so the ``(when, eid)`` order of everything else is
+    unchanged.  A waiter that arrives afterwards finds a processed
+    event and resumes through a ``_Resume`` hop in the same timestep,
+    as for any event that has already fired.  A failing process always
+    queues its failure (see :meth:`_resume`).
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -397,23 +411,23 @@ class Process(Event):
         env._active_process = self
         self._target = None
         try:
-            if event.ok:
+            if event._ok:
                 next_target = self._generator.send(event._value)
             else:
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
-            self.succeed(stop.value)
+            self._exit(stop.value)
             return
         except StopProcess as stop:
             env._active_process = None
             self._generator.close()
-            self.succeed(stop.value)
+            self._exit(stop.value)
             return
         except Interrupt:
             # The process let an interrupt escape: treat as normal exit.
             env._active_process = None
-            self.succeed(None)
+            self._exit(None)
             return
         except BaseException as error:
             env._active_process = None
@@ -437,6 +451,15 @@ class Process(Event):
         else:
             self._target = next_target
             next_target.callbacks.append(self._resume)
+
+    def _exit(self, value: Any) -> None:
+        """Finish with ``value``: queue the completion only for waiters."""
+        if self.callbacks:
+            self.succeed(value)
+        else:
+            self._ok = True
+            self._value = value
+            self._state = PROCESSED
 
 
 class Environment:
@@ -634,7 +657,7 @@ class Environment:
         if pool:
             entry = pool.pop()
             entry._callback = callback
-            entry.ok = ok
+            entry._ok = ok
             entry._value = value
         else:
             entry = _Resume(callback, ok, value)

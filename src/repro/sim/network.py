@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Optional
 
+from ..metrics.ledger import Ledger
 from ..obs.spans import NULL_SPANS, SpanKind
 from ..obs.telemetry import NULL_TELEMETRY
 from .kernel import Environment, Event, SimulationError, Timeout
@@ -250,6 +251,9 @@ class NetworkConfig:
     message_threshold: float = 64 * KB  # below this, skip the fluid model
     local_copy_rate: float = 4096 * MB  # intra-node memcpy bandwidth
     record_transfers: bool = True
+    # Capacity of ``Network.records``.  Transfers completing once it is
+    # full are counted in ``Network.records_dropped`` instead of booked;
+    # the byte and transfer counters stay exact either way.
     record_limit: int = 2_000_000
     # False forces full water-filling over every class at each flow
     # event — the reference the incremental allocator is tested against.
@@ -290,7 +294,11 @@ class Network:
         # iterates in allocation order until a class outlives its oldest
         # flow; this flag records when that sortedness breaks.
         self._order_sorted = True
-        self.records: list[TransferRecord] = []
+        # Columnar: booking a transfer creates no per-transfer object;
+        # reading yields TransferRecords built on access.
+        self.records = Ledger(TransferRecord, floats=("started_at", "finished_at"))
+        # Transfers not booked because ``records`` held ``record_limit``.
+        self.records_dropped = 0
         # Incremental byte counters: exact regardless of record_limit.
         self._pair_bytes: dict[tuple[str, str], float] = {}
         self.total_bytes = 0.0
@@ -494,30 +502,16 @@ class Network:
                 tag=tag,
                 slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
             )
-        record: Optional[TransferRecord] = None
-        if self.config.record_transfers and len(self.records) < self.config.record_limit:
-            record = TransferRecord(
-                src=src.name,
-                dst=dst.name,
-                size=size,
-                started_at=started,
-                finished_at=self.env.now,
-                kind=kind,
-                tag=tag,
-            )
-            self.records.append(record)
+        finished = self.env.now
+        if self.config.record_transfers:
+            if len(self.records) < self.config.record_limit:
+                self.records.add(src.name, dst.name, size, started, finished, kind, tag)
+            else:
+                self.records_dropped += 1
         if dst.remote:
-            if record is None:
-                record = TransferRecord(
-                    src=src.name,
-                    dst=dst.name,
-                    size=size,
-                    started_at=started,
-                    finished_at=self.env.now,
-                    kind=kind,
-                    tag=tag,
-                )
-            self.cross_outbox.append(record)
+            self.cross_outbox.append(
+                TransferRecord(src.name, dst.name, size, started, finished, kind, tag)
+            )
 
     def set_nic_bandwidth(self, nic: NIC, bandwidth: float) -> None:
         """Reconfigure a NIC mid-run; active flows re-share immediately.

@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.core import FaaStorePolicy, RemoteStorePolicy, object_key
-from repro.metrics import MetricsCollector
+from repro.clients import run_closed_loop
+from repro.core import (
+    DataflowSystem,
+    EngineConfig,
+    FaaStorePolicy,
+    Placement,
+    RemoteStorePolicy,
+    object_key,
+)
+from repro.core.state import reset_invocation_ids
+from repro.dag import WorkflowDAG
+from repro.metrics import InvocationStatus, MetricsCollector
+from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
 from .conftest import MB, all_on, fanout_dag, linear_dag, round_robin
 
@@ -169,3 +180,138 @@ class TestFaaStorePolicy:
         )
         policy.cleanup_invocation(dag, 1)
         assert node.memstore.key_count == 0
+
+
+def spy_deletes(stores, monkeypatch):
+    """Record every ``delete`` call on ``stores`` as ``(store, key)``."""
+    calls = []
+    for store in stores:
+        original = store.delete
+
+        def delete(key, store=store, original=original):
+            calls.append((store, key))
+            original(key)
+
+        monkeypatch.setattr(store, "delete", delete)
+    return calls
+
+
+class TestCleanupDeletesWhatWasWritten:
+    def mapped_fanout(self):
+        """``src`` (3 chunks) on worker-0 feeds ``here`` (worker-0) and
+        ``there`` (worker-1)."""
+        dag = WorkflowDAG("clean")
+        dag.add_function("src", output_size=3 * MB, map_factor=3)
+        for name in ("here", "there"):
+            dag.add_function(name)
+            dag.add_edge("src", name, data_size=3 * MB)
+        placement = Placement(
+            workflow="clean",
+            assignment={"src": "worker-0", "here": "worker-0", "there": "worker-1"},
+        )
+        return dag, placement
+
+    def test_abandoned_invocation_drains_remote_and_two_memstores(
+        self, env, cluster, monkeypatch
+    ):
+        """Consumers never read (the invocation timed out): cleanup
+        deletes each written key from exactly the stores that took it,
+        chunk by chunk, the remote store first."""
+        policy = FaaStorePolicy(cluster, MetricsCollector())
+        dag, placement = self.mapped_fanout()
+        w0, w1, w2 = cluster.workers
+        for worker in cluster.workers:
+            worker.set_faastore_quota(64 * MB)
+        for chunk in (2, 1, 0):
+            drive(env, policy.save_output(w0, dag, placement, 5, "src", chunk, 1 * MB))
+        for chunk in (1, 0):
+            drive(env, policy.eager_push(w0, w1, dag, placement, 5, "src", chunk, 1 * MB, 1))
+        remote = cluster.remote_store
+        assert remote.key_count == 3
+        assert w0.memstore.key_count == 3 and w1.memstore.key_count == 2
+        calls = spy_deletes([remote, w0.memstore, w1.memstore, w2.memstore], monkeypatch)
+        policy.cleanup_invocation(dag, 5)
+        key = [object_key("clean", 5, "src", chunk) for chunk in range(3)]
+        assert calls == [
+            (remote, key[0]), (w0.memstore, key[0]), (w1.memstore, key[0]),
+            (remote, key[1]), (w0.memstore, key[1]), (w1.memstore, key[1]),
+            (remote, key[2]), (w0.memstore, key[2]),
+        ]
+        for store in (remote, w0.memstore, w1.memstore, w2.memstore):
+            assert store.key_count == 0
+        for worker in cluster.workers:
+            assert worker.memstore.used == 0.0
+        policy.cleanup_invocation(dag, 5)  # a second cleanup is a no-op
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("policy_class", [RemoteStorePolicy, FaaStorePolicy])
+    def test_invocation_that_wrote_nothing_issues_no_deletes(
+        self, env, cluster, monkeypatch, policy_class
+    ):
+        policy = policy_class(cluster, MetricsCollector())
+        dag = linear_dag(output_size=0)
+        node = cluster.node("worker-0")
+        drive(env, policy.save_output(node, dag, all_on(dag, "worker-0"), 1, "f0", 0, 0))
+        calls = spy_deletes(
+            [cluster.remote_store] + [w.memstore for w in cluster.workers], monkeypatch
+        )
+        policy.cleanup_invocation(dag, 1)
+        policy.cleanup_invocation(dag, 2)  # never seen at all
+        assert calls == []
+
+    @pytest.mark.parametrize("timeout", [0.3, 0.5, 0.8])
+    def test_timed_out_invocations_leave_stores_as_a_full_sweep_did(
+        self, timeout
+    ):
+        """Against the sweep over every (node, chunk) key of the DAG in
+        every store: same objects, byte gauges and counters, with
+        invocations timing out mid-flight (puts still in flight at
+        cleanup commit afterwards under both)."""
+        assert run_timed_out(FaaStorePolicy, timeout) == run_timed_out(
+            FullSweepPolicy, timeout
+        )
+
+
+class FullSweepPolicy(FaaStorePolicy):
+    """Cleanup as it was before written-key tracking."""
+
+    def cleanup_invocation(self, dag, invocation_id):
+        for node_obj in dag.nodes:
+            for chunk in range(max(1, int(round(node_obj.map_factor)))):
+                key = object_key(dag.name, invocation_id, node_obj.name, chunk)
+                self.cluster.remote_store.delete(key)
+                for worker in self.cluster.workers:
+                    worker.memstore.delete(key)
+
+
+def run_timed_out(policy_class, timeout):
+    reset_invocation_ids(1)
+    env = Environment()
+    cluster = Cluster(
+        env,
+        ClusterConfig(
+            workers=3,
+            container=ContainerSpec(cold_start_time=0.1),
+            storage_bandwidth=50 * MB,
+        ),
+    )
+    system = DataflowSystem(
+        cluster,
+        EngineConfig(ship_data=True, eager_ship=True, execution_timeout=timeout),
+        policy=policy_class(cluster, MetricsCollector()),
+    )
+    dag = fanout_dag(branches=4, output_size=4 * MB)
+    system.deploy(
+        dag,
+        round_robin(dag, cluster.worker_names()),
+        quotas={w.name: 64 * MB for w in cluster.workers},
+    )
+    records = run_closed_loop(system, "fan", 3)
+    env.run()
+    assert InvocationStatus.TIMEOUT in {r.status for r in records}
+    stores = [cluster.remote_store] + [w.memstore for w in cluster.workers]
+    return (
+        [(r.status, r.finished_at) for r in records],
+        [(sorted(s._data.items()), vars(s.stats)) for s in stores],
+        [w.memstore.used for w in cluster.workers],
+    )

@@ -1,5 +1,7 @@
 """Unit and property tests for metrics aggregation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,34 @@ class TestTransferAggregation:
         assert collector.mean_transfer_latency_per_invocation(
             "w"
         ) == pytest.approx((0.8 + 1.0) / 2)
+
+    def test_mean_transfer_latency_matches_per_id_formula(self):
+        rng = random.Random(5)
+        collector = MetricsCollector()
+        # Interleaved workflows; ids whose set order differs from their
+        # first-seen order; durations whose sums depend on the order.
+        ids = [1, 1000003, 9, 64, 2**40 + 7, 33, 8, 5000]
+        for _ in range(400):
+            collector.record_transfer(
+                self.transfer(
+                    inv=rng.choice(ids), duration=rng.random() ** 3 * 10,
+                    workflow=rng.choice(["w", "v", "u"]),
+                    phase=rng.choice(["put", "get", "push"]),
+                )
+            )
+
+        def per_id_formula(workflow):
+            seen = {t.invocation_id for t in collector.transfers_of(workflow)}
+            if not seen:
+                return 0.0
+            return sum(
+                collector.transfer_latency(workflow, i) for i in seen
+            ) / len(seen)
+
+        for workflow in ("w", "v", "u", "absent"):
+            assert collector.mean_transfer_latency_per_invocation(
+                workflow
+            ) == per_id_formula(workflow)
 
     def test_local_fraction(self):
         collector = MetricsCollector()

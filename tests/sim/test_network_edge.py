@@ -68,6 +68,20 @@ class TestRecordLimits:
         assert net.records == []
         assert net.total_bytes == pytest.approx(1 * MB)
 
+    def test_records_dropped_counts_past_the_limit(self):
+        env, net = make_net(extra={})
+        net.config.record_limit = 2
+        a = net.attach("a", 100 * MB)
+        b = net.attach("b", 100 * MB)
+        for count in range(1, 6):
+            env.run(until=net.transfer(a, b, 1 * KB))
+            assert net.records_dropped == max(0, count - 2)
+        assert len(net.records) == 2
+        net.config.record_transfers = False
+        env.run(until=net.transfer(a, b, 1 * KB))
+        # Disabled recording books nothing and drops nothing.
+        assert net.records_dropped == 3
+
 
 class TestManyFlows:
     def test_hundred_simultaneous_flows_complete(self):
