@@ -279,18 +279,25 @@ def update_edge_weights(dag: WorkflowDAG, metrics: MetricsCollector) -> None:
 def _virtual_path_edges(
     dag: WorkflowDAG, producer: str, consumer: str
 ) -> list[DataEdge]:
-    """Edges of one path producer -> ... -> consumer through virtual nodes."""
+    """Edges of one path producer -> ... -> consumer through virtual nodes.
+
+    Depth-first in out-edge order; the first path found wins, and an
+    empty list means there is none.  ``path`` holds the edges leading to
+    the iterator on top of ``stack``.
+    """
     path: list[DataEdge] = []
-
-    def walk(current: str, acc: list[DataEdge]) -> bool:
-        for edge in dag.out_edges(current):
+    stack = [iter(dag.out_edges(producer))]
+    while stack:
+        for edge in stack[-1]:
             if edge.dst == consumer:
-                path.extend(acc + [edge])
-                return True
+                path.append(edge)
+                return path
             if dag.node(edge.dst).is_virtual:
-                if walk(edge.dst, acc + [edge]):
-                    return True
-        return False
-
-    walk(producer, [])
+                path.append(edge)
+                stack.append(iter(dag.out_edges(edge.dst)))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
     return path

@@ -203,36 +203,42 @@ class WorkflowDAG:
         virtual end, the next function fetches every branch's output.
         Returns ``(producer_name, bytes)`` pairs in deterministic order.
         """
-        result: list[tuple[str, float]] = []
-        seen: set[str] = set()
-
-        def walk(current: str) -> None:
-            for src in self._pred[current]:
-                producer = self._nodes[src]
-                if producer.is_virtual:
-                    walk(src)
-                elif src not in seen:
-                    seen.add(src)
-                    result.append((src, producer.output_size))
-
-        walk(name)
-        return result
+        nodes = self._nodes
+        return [
+            (src, nodes[src].output_size)
+            for src in self._real_neighbours(name, self._pred)
+        ]
 
     def data_consumers(self, name: str) -> list[str]:
         """Real functions that consume ``name``'s output (through virtuals)."""
+        return self._real_neighbours(name, self._succ)
+
+    def _real_neighbours(
+        self, name: str, adjacency: dict[str, list[str]]
+    ) -> list[str]:
+        """Real nodes reached from ``name`` along ``adjacency``.
+
+        Virtual nodes are walked through depth-first in adjacency order
+        (a virtual reached twice is walked twice); each real node is
+        listed once, at its first visit.  The walk keeps an explicit
+        stack of iterators, not a recursive closure: it runs per
+        function trigger, and a self-referencing closure would leave a
+        reference cycle behind on every call.
+        """
+        nodes = self._nodes
         result: list[str] = []
         seen: set[str] = set()
-
-        def walk(current: str) -> None:
-            for dst in self._succ[current]:
-                consumer = self._nodes[dst]
-                if consumer.is_virtual:
-                    walk(dst)
-                elif dst not in seen:
-                    seen.add(dst)
-                    result.append(dst)
-
-        walk(name)
+        stack = [iter(adjacency[name])]
+        while stack:
+            for neighbour in stack[-1]:
+                if nodes[neighbour].is_virtual:
+                    stack.append(iter(adjacency[neighbour]))
+                    break
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    result.append(neighbour)
+            else:
+                stack.pop()
         return result
 
     def __len__(self) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 # CPython refcount introspection lets ``step()`` prove that a processed
@@ -123,7 +124,15 @@ class Event:
         self._ok = True
         self._value = value
         self._state = TRIGGERED
-        self.env._schedule(self)
+        # _schedule inlined, as in Timeout.__init__: every grant, store
+        # hand-off and awaited process exit comes through here.
+        env = self.env
+        env._eid += 1
+        queue = env._queue
+        if queue is not None:
+            heappush(queue, (env._now, env._eid, self))
+        else:
+            env._sched_insert(env._now, env._eid, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -235,6 +244,9 @@ class _Resume:
     never escapes the kernel, so ``step()`` recycles it through a
     per-environment free-list.  It quacks like a triggered event for the
     one consumer it has: ``Process._resume`` reads ``_ok`` and ``_value``.
+    The inlined run loops call ``_callback`` directly; ``step()`` and the
+    generic loop go through :meth:`_process_callbacks`.  A recycled entry
+    has both fields cleared, so the free-list keeps no process alive.
     """
 
     __slots__ = ("_callback", "_ok", "_value")
@@ -365,7 +377,7 @@ class Process(Event):
     queues its failure (see :meth:`_resume`).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_wake")
 
     def __init__(
         self,
@@ -373,14 +385,28 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: str = "",
     ):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # Anything with send/throw runs (perfbench's layer proxy wraps
+        # generators this way); real generators skip the duck check.
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Event.__init__ inlined: one process per function task.
+        self.env = env
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._ok = None
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        # The wake-up callback, bound once: every wait appends this same
+        # object instead of a fresh bound method.  It is cleared when the
+        # process exits or fails, so the process <-> method cycle never
+        # outlives the process.
+        self._wake: Optional[Callable[[Any], None]] = self._resume
         # Kick off the process at the current simulation time.
-        env._schedule_resume(self._resume, True, None)
+        env._schedule_resume(self._wake, True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -393,11 +419,12 @@ class Process(Event):
         if self.env.active_process is self:
             raise SimulationError("a process cannot interrupt itself")
         # Detach from whatever the process currently waits on.
+        wake = self._wake
         target = self._target
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
+        if target is not None and wake in target.callbacks:
+            target.callbacks.remove(wake)
         self._target = None
-        self.env._schedule_resume(self._resume, False, Interrupt(cause))
+        self.env._schedule_resume(wake, False, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         if self._state != PENDING:
@@ -431,6 +458,13 @@ class Process(Event):
             return
         except BaseException as error:
             env._active_process = None
+            self._wake = None
+            # Drop this frame from the traceback: it holds ``self``, and
+            # the failed process keeps ``error`` as its value, so leaving
+            # it would make the failure a cycle only the cyclic GC frees.
+            # The user's frames (from the generator down) remain.
+            if error.__traceback__ is not None:
+                error.__traceback__ = error.__traceback__.tb_next
             self.fail(error)
             if not self.callbacks:
                 # Nobody is waiting for this process; surface the crash.
@@ -446,14 +480,15 @@ class Process(Event):
             # The event already fired; resume immediately (same timestep)
             # through a pooled _Resume instead of a trampoline Event.
             env._schedule_resume(
-                self._resume, next_target._ok, next_target._value
+                self._wake, next_target._ok, next_target._value
             )
         else:
             self._target = next_target
-            next_target.callbacks.append(self._resume)
+            next_target.callbacks.append(self._wake)
 
     def _exit(self, value: Any) -> None:
         """Finish with ``value``: queue the completion only for waiters."""
+        self._wake = None
         if self.callbacks:
             self.succeed(value)
         else:
@@ -733,11 +768,14 @@ class Environment:
         self._now = when
         event._process_callbacks()
         if self._crashed:
-            process, error = self._crashed.pop()
-            raise SimulationError(
-                f"process {process.name!r} crashed at t={self._now}"
-            ) from error
+            self._raise_crashed()
         self._recycle(event)
+
+    def _raise_crashed(self) -> None:
+        process, error = self._crashed.pop()
+        raise SimulationError(
+            f"process {process.name!r} crashed at t={self._now}"
+        ) from error
 
     def _recycle(self, event: Event) -> None:
         """Return a processed queue entry to its free-list when safe.
@@ -749,6 +787,9 @@ class Environment:
         """
         cls = type(event)
         if cls is _Resume:
+            # Drop the stale callback and value: a pooled entry must not
+            # keep a finished process (or an Interrupt) alive.
+            event._callback = event._value = None
             if len(self._resume_pool) < _POOL_CAP:
                 self._resume_pool.append(event)
         elif (
@@ -784,8 +825,11 @@ class Environment:
         # The dispatch body below is step() inlined (including the
         # tombstone drop and free-list recycling) — the per-event
         # method-call overhead is measurable at millions of events per
-        # run.  Keep the copies in sync with step()/_recycle() and the
-        # generic loop in _run_sched().
+        # run.  It also inlines the dispatch itself: a _Resume calls its
+        # ``_callback`` directly and every other entry runs the body of
+        # Event._process_callbacks here, one frame less per event.  Keep
+        # the copies in sync with step()/_recycle(), the _process_callbacks
+        # methods, _run_wheel() and the generic loop in _run_sched().
         crashed = self._crashed
         resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
@@ -815,22 +859,33 @@ class Environment:
                         timeout_pool.append(event)
                     continue
                 self._now = when
-                event._process_callbacks()
-                if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
                 if cls is _Resume:
+                    event._callback(event)
+                    if crashed:
+                        self._raise_crashed()
+                    event._callback = event._value = None
                     if len(resume_pool) < _POOL_CAP:
                         resume_pool.append(event)
-                elif (
+                    continue
+                # Event._process_callbacks inlined; tombstones were dropped
+                # above, so a live Timeout takes the same path.
+                event._state = PROCESSED
+                callbacks = event.callbacks
+                event.callbacks = []
+                for callback in callbacks:
+                    callback(event)
+                if crashed:
+                    self._raise_crashed()
+                if (
                     cls is Timeout
                     and _getrefcount is not None
                     and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
                 ):
-                    timeout_pool.append(event)
+                    # Drop the loop's own references first: the proof must
+                    # see only the loop local and the argument, as in step().
+                    callbacks = callback = None
+                    if _getrefcount(event) == 2:  # loop local + getrefcount arg
+                        timeout_pool.append(event)
             if stop_event.ok:
                 return stop_event._value
             raise stop_event._value
@@ -854,22 +909,33 @@ class Environment:
                     timeout_pool.append(event)
                 continue
             self._now = when
-            event._process_callbacks()
-            if crashed:
-                process, error = crashed.pop()
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now}"
-                ) from error
             if cls is _Resume:
+                event._callback(event)
+                if crashed:
+                    self._raise_crashed()
+                event._callback = event._value = None
                 if len(resume_pool) < _POOL_CAP:
                     resume_pool.append(event)
-            elif (
+                continue
+            # Event._process_callbacks inlined; tombstones were dropped
+            # above, so a live Timeout takes the same path.
+            event._state = PROCESSED
+            callbacks = event.callbacks
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
+            if crashed:
+                self._raise_crashed()
+            if (
                 cls is Timeout
                 and _getrefcount is not None
                 and len(timeout_pool) < _POOL_CAP
-                and _getrefcount(event) == 2  # loop local + getrefcount arg
             ):
-                timeout_pool.append(event)
+                # Drop the loop's own references first: the proof must
+                # see only the loop local and the argument, as in step().
+                callbacks = callback = None
+                if _getrefcount(event) == 2:  # loop local + getrefcount arg
+                    timeout_pool.append(event)
         if deadline != float("inf"):
             self._now = deadline
         return None
@@ -885,8 +951,11 @@ class Environment:
         ``WheelScheduler._load_next`` (amortized: once per bucket, not
         per event).  The ``_cur``/``_near`` lists are stable objects
         filled in place, so the local aliases below stay valid across
-        refills.  Keep in sync with step()/_recycle() and the wheel's
-        own pop()/pop_until().
+        refills.  Dispatch is inlined exactly as in :meth:`run` (a
+        ``_Resume`` calls its ``_callback``, anything else runs the
+        ``Event._process_callbacks`` body here).  Keep in sync with
+        step()/_recycle(), the _process_callbacks methods, the heap loops
+        in run() and the wheel's own pop()/pop_until().
         """
         sched = self._sched
         cur = sched._cur
@@ -931,22 +1000,33 @@ class Environment:
                         timeout_pool.append(event)
                     continue
                 self._now = when
-                event._process_callbacks()
-                if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
                 if cls is _Resume:
+                    event._callback(event)
+                    if crashed:
+                        self._raise_crashed()
+                    event._callback = event._value = None
                     if len(resume_pool) < _POOL_CAP:
                         resume_pool.append(event)
-                elif (
+                    continue
+                # Event._process_callbacks inlined; tombstones were dropped
+                # above, so a live Timeout takes the same path.
+                event._state = PROCESSED
+                callbacks = event.callbacks
+                event.callbacks = []
+                for callback in callbacks:
+                    callback(event)
+                if crashed:
+                    self._raise_crashed()
+                if (
                     cls is Timeout
                     and _getrefcount is not None
                     and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
                 ):
-                    timeout_pool.append(event)
+                    # Drop the loop's own references first: the proof must
+                    # see only the loop local and the argument, as in step().
+                    callbacks = callback = None
+                    if _getrefcount(event) == 2:  # loop local + getrefcount arg
+                        timeout_pool.append(event)
             if stop_event.ok:
                 return stop_event._value
             raise stop_event._value
@@ -985,22 +1065,33 @@ class Environment:
                     timeout_pool.append(event)
                 continue
             self._now = when
-            event._process_callbacks()
-            if crashed:
-                process, error = crashed.pop()
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now}"
-                ) from error
             if cls is _Resume:
+                event._callback(event)
+                if crashed:
+                    self._raise_crashed()
+                event._callback = event._value = None
                 if len(resume_pool) < _POOL_CAP:
                     resume_pool.append(event)
-            elif (
+                continue
+            # Event._process_callbacks inlined; tombstones were dropped
+            # above, so a live Timeout takes the same path.
+            event._state = PROCESSED
+            callbacks = event.callbacks
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
+            if crashed:
+                self._raise_crashed()
+            if (
                 cls is Timeout
                 and _getrefcount is not None
                 and len(timeout_pool) < _POOL_CAP
-                and _getrefcount(event) == 2  # loop local + getrefcount arg
             ):
-                timeout_pool.append(event)
+                # Drop the loop's own references first: the proof must
+                # see only the loop local and the argument, as in step().
+                callbacks = callback = None
+                if _getrefcount(event) == 2:  # loop local + getrefcount arg
+                    timeout_pool.append(event)
         if deadline != float("inf"):
             self._now = deadline
         return None
@@ -1045,11 +1136,9 @@ class Environment:
                 self._now = when
                 event._process_callbacks()
                 if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
+                    self._raise_crashed()
                 if cls is _Resume:
+                    event._callback = event._value = None
                     if len(resume_pool) < _POOL_CAP:
                         resume_pool.append(event)
                 elif (
@@ -1088,11 +1177,9 @@ class Environment:
             self._now = when
             event._process_callbacks()
             if crashed:
-                process, error = crashed.pop()
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now}"
-                ) from error
+                self._raise_crashed()
             if cls is _Resume:
+                event._callback = event._value = None
                 if len(resume_pool) < _POOL_CAP:
                     resume_pool.append(event)
             elif cls is Timeout and _getrefcount is not None:

@@ -44,8 +44,9 @@ class UsageSampler:
         now = self.env.now
         self._area += self._value * (now - self._last_change)
         self._last_change = now
-        self._value = float(value)
-        self._peak = max(self._peak, self._value)
+        self._value = value = float(value)
+        if value > self._peak:
+            self._peak = value
 
     def add(self, delta: float) -> None:
         self.set(self._value + delta)
@@ -72,8 +73,11 @@ class CPUAllocator:
     def request(self, cores: int = 1):
         """Event granting ``cores`` cores; pair with :meth:`release`."""
         req = self._resource.request(cores)
-        req.callbacks.append(lambda _: self.usage.add(cores))
+        req.callbacks.append(self._on_grant)
         return req
+
+    def _on_grant(self, request) -> None:
+        self.usage.add(request.amount)
 
     def release(self, request) -> None:
         self._resource.release(request)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from .kernel import Environment, Event, SimulationError
+from .kernel import PENDING, Environment, Event, SimulationError
 
 __all__ = ["Resource", "Store", "Level"]
 
@@ -28,14 +28,24 @@ class _Request(Event):
         with resource.request() as req:
             yield req
             ...
+
+    ``granted`` is true from the grant until the release.  The grant
+    fires with no value: a request that was its own value would be a
+    reference cycle only the cyclic garbage collector could free.
     """
 
-    __slots__ = ("resource", "amount")
+    __slots__ = ("resource", "amount", "granted")
 
     def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.env)
+        # Event.__init__ inlined: one request per CPU slot or lock taken.
+        self.env = resource.env
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._ok = None
         self.resource = resource
         self.amount = amount
+        self.granted = False
 
     def __enter__(self) -> "_Request":
         return self
@@ -62,7 +72,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: deque[_Request] = deque()
-        self._granted: set[int] = set()
 
     @property
     def in_use(self) -> int:
@@ -83,20 +92,28 @@ class Resource:
                 f"request of {amount} outside [1, {self.capacity}]"
             )
         req = _Request(self, amount)
-        self._waiting.append(req)
-        self._grant()
+        if not self._waiting and self._in_use + amount <= self.capacity:
+            # Nothing queued ahead and room now: the grant append +
+            # _grant() would make, without the queue round trip.
+            self._in_use += amount
+            req.granted = True
+            req.succeed()
+        else:
+            self._waiting.append(req)
+            self._grant()
         return req
 
     def holds(self, request: _Request) -> bool:
         """Whether ``request`` has been granted and not yet released."""
-        return id(request) in self._granted
+        return request.granted
 
     def release(self, request: _Request) -> None:
         """Return the slots held by ``request`` (idempotent)."""
-        if id(request) in self._granted:
-            self._granted.remove(id(request))
+        if request.granted:
+            request.granted = False
             self._in_use -= request.amount
-            self._grant()
+            if self._waiting:
+                self._grant()
         else:
             self._cancel(request)
 
@@ -107,14 +124,15 @@ class Resource:
             pass
 
     def _grant(self) -> None:
-        while self._waiting:
-            head = self._waiting[0]
+        waiting = self._waiting
+        while waiting:
+            head = waiting[0]
             if self._in_use + head.amount > self.capacity:
                 break
-            self._waiting.popleft()
+            waiting.popleft()
             self._in_use += head.amount
-            self._granted.add(id(head))
-            head.succeed(head)
+            head.granted = True
+            head.succeed()
 
 
 class _StoreGet(Event):

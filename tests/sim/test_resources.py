@@ -88,6 +88,30 @@ class TestCPUAllocator:
         env.run(until=10.0)
         assert cpu.average_usage() == pytest.approx(2.0)
 
+    def test_cancel_withdraws_ungranted_request(self, env):
+        cpu = CPUAllocator(env, cores=2)
+        held = cpu.request(2)
+        queued = cpu.request(1)
+        env.run(until=1.0)
+        assert cpu.usage.value == 2.0 and cpu.queue_length == 1
+        cpu.cancel(queued)
+        assert cpu.queue_length == 0 and cpu.busy == 2
+        cpu.release(held)
+        env.run()
+        # The withdrawn request was never granted: no usage credit, and
+        # the release above did not hand it the freed cores.
+        assert not queued.triggered
+        assert cpu.busy == 0 and cpu.usage.value == 0.0
+        assert cpu.usage.peak == 2.0
+
+    def test_cancel_releases_granted_request(self, env):
+        cpu = CPUAllocator(env, cores=2)
+        req = cpu.request(2)
+        env.run()
+        cpu.cancel(req)
+        cpu.cancel(req)
+        assert cpu.busy == 0 and cpu.usage.value == 0.0
+
     def test_core_validation(self, env):
         with pytest.raises(SimulationError):
             CPUAllocator(env, cores=0)

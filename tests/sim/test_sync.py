@@ -1,5 +1,7 @@
 """Unit tests for Resource / Store / Level synchronization primitives."""
 
+import gc
+
 import pytest
 
 from repro.sim.kernel import Environment, SimulationError
@@ -107,6 +109,43 @@ class TestResource:
         env.run()
         assert res.in_use == 1
         assert res.queue_length == 2
+
+    def test_grant_fires_with_no_value(self, env):
+        res = Resource(env, capacity=1)
+        first, second = res.request(), res.request()
+        env.run()
+        assert first.value is None
+        res.release(first)
+        env.run()
+        assert second.value is None and res.holds(second)
+
+    def test_holds_is_per_request(self, env):
+        # A granted request dropped without release keeps its slot; once
+        # it is freed its address may be reused, which must not make a
+        # queued request look granted.
+        res = Resource(env, capacity=1)
+        res.request()
+        env.run()
+        gc.collect()
+        queued = [res.request() for _ in range(50)]
+        env.run()
+        assert not any(res.holds(req) for req in queued)
+        # Releasing a queued request only withdraws it.
+        res.release(queued[0])
+        assert res.in_use == 1
+        assert res.queue_length == 49
+        assert not queued[0].triggered
+
+    def test_release_twice_grants_the_next_waiter_once(self, env):
+        res = Resource(env, capacity=1)
+        held, waiting, last = res.request(), res.request(), res.request()
+        env.run()
+        res.release(held)
+        res.release(held)
+        env.run()
+        assert res.holds(waiting) and not res.holds(last)
+        assert res.in_use == 1 and res.queue_length == 1
+        assert not res.holds(held)
 
 
 class TestStore:
