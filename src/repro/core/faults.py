@@ -386,7 +386,10 @@ class FaultDriver:
     running the simulation.  Node crashes destroy every container on the
     node, take its pool offline, and notify each attached system
     (``on_node_crash`` / ``on_node_recovery``); degradation windows
-    scale NIC bandwidths and restore them after.
+    scale NIC bandwidths and restore them after.  Overlapping windows
+    compose: a NIC runs at its configured bandwidth times the product
+    of the factors of every window open on it, and returns to exactly
+    its configured bandwidth when the last one closes.
     """
 
     def __init__(self, cluster, plan: FaultPlan):
@@ -397,6 +400,8 @@ class FaultDriver:
         self.node_crashes_fired = 0
         self.degradations_fired = 0
         self._started = False
+        # node name -> (configured bandwidth, factors of the open windows)
+        self._degraded: dict[str, tuple[float, list[float]]] = {}
 
     def attach(self, system) -> "FaultDriver":
         self.systems.append(system)
@@ -444,7 +449,6 @@ class FaultDriver:
             nodes = [self.cluster.node(name) for name in window.nodes]
         else:
             nodes = [*self.cluster.workers, self.cluster.storage_node]
-        original = {node.name: node.nic.bandwidth for node in nodes}
         spans = self.cluster.spans
         for node in nodes:
             if spans.enabled:
@@ -452,14 +456,26 @@ class FaultDriver:
                     SpanKind.FAULT, node=node.name, fault="net-degrade",
                     factor=window.factor, duration=window.duration,
                 )
-            self.cluster.network.set_nic_bandwidth(
-                node.nic, original[node.name] * window.factor
+            _, factors = self._degraded.setdefault(
+                node.name, (node.nic.bandwidth, [])
             )
+            factors.append(window.factor)
+            self._apply_factors(node)
         self.degradations_fired += 1
         yield self.env.timeout(window.duration)
         for node in nodes:
-            self.cluster.network.set_nic_bandwidth(
-                node.nic, original[node.name]
-            )
+            self._degraded[node.name][1].remove(window.factor)
+            self._apply_factors(node)
             if spans.enabled:
                 spans.event(SpanKind.FAULT, node=node.name, fault="net-restore")
+
+    def _apply_factors(self, node) -> None:
+        """Set ``node``'s NIC to its base bandwidth scaled by every open
+        window, or back to exactly the base when none is open."""
+        base, factors = self._degraded[node.name]
+        bandwidth = base
+        for factor in factors:
+            bandwidth *= factor
+        if not factors:
+            del self._degraded[node.name]
+        self.cluster.network.set_nic_bandwidth(node.nic, bandwidth)

@@ -23,7 +23,7 @@ Example
 from __future__ import annotations
 
 import sys
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -35,6 +35,10 @@ _getrefcount = getattr(sys, "getrefcount", None)
 # Upper bound on each per-environment free-list; beyond this, processed
 # objects are left for the garbage collector as usual.
 _POOL_CAP = 128
+
+# Cancelled-timer count below which the queue is never compacted (see
+# ``Environment._note_cancelled_timer``).
+_COMPACTION_THRESHOLD = 64
 
 __all__ = [
     "Environment",
@@ -128,11 +132,7 @@ class Event:
         # hand-off and awaited process exit comes through here.
         env = self.env
         env._eid += 1
-        queue = env._queue
-        if queue is not None:
-            heappush(queue, (env._now, env._eid, self))
-        else:
-            env._sched_insert(env._now, env._eid, self)
+        heappush(env._queue, (env._now, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -180,11 +180,7 @@ class Timeout(Event):
         # half), and the extra call level is measurable at millions of
         # timers per run.
         env._eid += 1
-        queue = env._queue
-        if queue is not None:
-            heappush(queue, (env._now + delay, env._eid, self))
-        else:
-            env._sched_insert(env._now + delay, env._eid, self)
+        heappush(env._queue, (env._now + delay, env._eid, self))
 
     @property
     def cancelled(self) -> bool:
@@ -195,13 +191,11 @@ class Timeout(Event):
 
         The queue entry becomes a *tombstone*: it is dropped unprocessed
         — no callback invocation, and the simulation clock never
-        advances to its deadline.  Under the heap scheduler the entry
-        usually stays queued until its scheduled time surfaces (and is
-        compacted out in bulk when tombstones come to dominate the
-        queue); under the wheel scheduler tombstones are dropped
-        bucket-locally when their bucket is loaded.  Either way the
-        observable simulation — clock, callback order, final drain time
-        — is identical.  This is for timers that get superseded before
+        advances to its deadline.  The entry usually stays queued until
+        its scheduled time surfaces, or is compacted out in bulk when
+        tombstones come to dominate the queue; the observable
+        simulation — clock, callback order, final drain time — is the
+        same either way.  This is for timers that get superseded before
         they fire (the network's completion wake-up, a container's
         keep-alive expiry, an invocation's execution watchdog).  The
         caller is responsible for not cancelling a timeout some process
@@ -244,8 +238,8 @@ class _Resume:
     never escapes the kernel, so ``step()`` recycles it through a
     per-environment free-list.  It quacks like a triggered event for the
     one consumer it has: ``Process._resume`` reads ``_ok`` and ``_value``.
-    The inlined run loops call ``_callback`` directly; ``step()`` and the
-    generic loop go through :meth:`_process_callbacks`.  A recycled entry
+    The inlined run loops call ``_callback`` directly; ``step()`` goes
+    through :meth:`_process_callbacks`.  A recycled entry
     has both fields cleared, so the free-list keeps no process alive.
     """
 
@@ -500,61 +494,33 @@ class Process(Event):
 class Environment:
     """Holds the event queue and the simulation clock.
 
-    ``scheduler`` selects the priority structure behind the queue (see
-    :mod:`repro.sim.sched`): ``"heap"`` (the default binary heap),
-    ``"wheel"`` (a calendar-queue timer wheel with O(1) amortized
-    insert and bucket-local tombstone dropping), a factory callable, or
-    ``None`` to resolve the process-wide ``FAASFLOW_SCHEDULER`` default.
-    Both schedulers realize the exact same ``(when, eid)`` total order,
-    so every observable simulation result is bit-identical either way.
+    The queue is a binary heap (``heapq`` on a plain list) of
+    ``(when, eid, event)`` entries.  ``eid`` is a counter bumped on
+    every insert, so ``(when, eid)`` is a total order: events due at
+    the same time fire in the order they were scheduled, and tuple
+    comparison never reaches the event object.
     """
 
     __slots__ = (
         "_now",
         "_queue",
-        "_sched",
-        "_sched_insert",
-        "_is_wheel",
         "_eid",
         "_active_process",
         "_crashed",
         "_timeout_pool",
         "_resume_pool",
         "_cancelled_timers",
-        "_compaction_threshold",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        timer_compaction_threshold: int = 64,
-        scheduler=None,
-    ):
-        if timer_compaction_threshold < 1:
-            raise SimulationError(
-                "timer_compaction_threshold must be >= 1, got "
-                f"{timer_compaction_threshold}"
-            )
-        from .sched import HeapScheduler, WheelScheduler, make_scheduler
-
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._crashed: list[tuple[Process, BaseException]] = []
         self._cancelled_timers = 0
-        self._compaction_threshold = int(timer_compaction_threshold)
-        self._sched = make_scheduler(self, scheduler)
-        # The heap's backing list is aliased as ``_queue`` so the inlined
-        # dispatch loops (and the hot factories below) keep using
-        # C-level heappush/heappop directly.  Under any other scheduler
-        # ``_queue`` is None, inserts go through the pre-bound
-        # ``_sched_insert``, and dispatch runs the wheel-inlined loop
-        # (``_run_wheel``) or the generic interface loop (``_run_sched``).
-        self._queue: Optional[list[tuple[float, int, Event]]] = (
-            self._sched.heap if type(self._sched) is HeapScheduler else None
-        )
-        self._sched_insert = self._sched.insert
-        self._is_wheel = type(self._sched) is WheelScheduler
+        # The run loops hold a local alias of this list, so it is only
+        # ever changed in place.
+        self._queue: list[tuple[float, int, Event]] = []
         # Free-lists for the two hottest allocations: Timeout events
         # (recycled only once provably unreferenced) and kernel-internal
         # _Resume entries (never escape, always recycled).
@@ -571,28 +537,9 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self):
-        """The live :class:`~repro.sim.sched.Scheduler` instance."""
-        return self._sched
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler (``"heap"`` or ``"wheel"``)."""
-        return self._sched.name
-
-    @property
     def queued_events(self) -> int:
         """Entries queued, including cancelled-but-queued tombstones."""
-        return len(self._sched)
-
-    @property
-    def timer_compaction_threshold(self) -> int:
-        """Cancelled-timer count below which heap compaction never runs.
-
-        Heap-only knob: the wheel scheduler drops tombstones
-        bucket-locally and never runs a global compaction pass.
-        """
-        return self._compaction_threshold
+        return len(self._queue)
 
     # -- event factories ----------------------------------------------
     def event(self) -> Event:
@@ -609,18 +556,14 @@ class Environment:
             event._value = value
             event.delay = delay
             self._eid += 1
-            queue = self._queue
-            if queue is not None:
-                heappush(queue, (self._now + delay, self._eid, event))
-            else:
-                self._sched_insert(self._now + delay, self._eid, event)
+            heappush(self._queue, (self._now + delay, self._eid, event))
             return event
         return Timeout(self, delay, value)
 
     def schedule_at(self, when: float, value: Any = None) -> Timeout:
         """Schedule a timeout at an *absolute* simulation time.
 
-        Unlike ``timeout(when - now)``, the heap entry carries ``when``
+        Unlike ``timeout(when - now)``, the queue entry carries ``when``
         exactly — no ``now + delay`` round-trip through floating point —
         so two environments that agree on ``when`` fire the event at
         bit-identical times regardless of what their local clocks read
@@ -650,14 +593,7 @@ class Environment:
             event._cancelled = False
         event.delay = when - self._now
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (when, self._eid, event))
-        else:
-            # The scheduler receives ``when`` exactly as named — the
-            # wheel carries full keys in its buckets, so the cross-shard
-            # exact-timestamp contract holds under either scheduler.
-            self._sched_insert(when, self._eid, event)
+        heappush(self._queue, (when, self._eid, event))
         return event
 
     def process(
@@ -674,11 +610,7 @@ class Environment:
     # -- scheduling ----------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (self._now + delay, self._eid, event))
-        else:
-            self._sched_insert(self._now + delay, self._eid, event)
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def _schedule_resume(
         self, callback: Callable[[Any], None], ok: bool, value: Any
@@ -697,23 +629,35 @@ class Environment:
         else:
             entry = _Resume(callback, ok, value)
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (self._now, self._eid, entry))
-        else:
-            self._sched_insert(self._now, self._eid, entry)
+        heappush(self._queue, (self._now, self._eid, entry))
 
     def _note_cancelled_timer(self) -> None:
         """Bookkeeping hook for :meth:`Timeout.cancel`.
 
-        Delegates to the scheduler: the heap rebuilds itself without
-        tombstones once they pass ``timer_compaction_threshold`` AND
-        make up more than half of the queue; the wheel drops tombstones
-        bucket-locally and treats this as a no-op.
+        Rebuilds the queue without tombstones once they reach
+        ``_COMPACTION_THRESHOLD`` and make up at least half of it.
+        Long-deadline watchdogs that are cancelled on every completion
+        (one 60 s execution timeout per invocation, say) would otherwise
+        accumulate for their full nominal delay and make the queue grow
+        with throughput instead of with live work.
         """
         self._cancelled_timers += 1
-        if self._sched.note_cancelled(self._cancelled_timers):
-            self._cancelled_timers = 0
+        queue = self._queue
+        count = self._cancelled_timers
+        if count < _COMPACTION_THRESHOLD or count * 2 < len(queue):
+            return
+        keep = []
+        for entry in queue:
+            event = entry[2]
+            if type(event) is Timeout and event._cancelled:
+                self._retire_cancelled(event)
+                self._recycle(event)
+            else:
+                keep.append(entry)
+        heapify(keep)
+        # In place: the run loops hold a local alias of this list.
+        queue[:] = keep
+        self._cancelled_timers = 0
 
     def _retire_cancelled(self, event: Timeout) -> None:
         """Retire a cancelled timer dropped without being dispatched.
@@ -733,15 +677,24 @@ class Environment:
         """Time of the next event that will actually fire, or ``inf``.
 
         Lazily-cancelled timeouts parked at the head of the queue are
-        retired on the way (the scheduler owns the skip — one shared
-        implementation for this method and the shard coordinator's
-        barrier lookahead): they would otherwise make ``peek`` report a
+        retired on the way: they would otherwise make ``peek`` report a
         time at which nothing observable happens.  The shard
         coordinator's conservative-window protocol depends on this — a
         stale head would both shrink windows needlessly and, worse,
         keep a drained shard looking busy forever.
         """
-        return self._sched.peek()
+        queue = self._queue
+        while queue:
+            when, _, event = queue[0]
+            if type(event) is Timeout and event._cancelled:
+                heappop(queue)
+                self._retire_cancelled(event)
+                # Separate call so the refcount proof sees exactly one
+                # caller frame holding the event (see _recycle).
+                self._recycle(event)
+                continue
+            return when
+        return float("inf")
 
     def step(self) -> None:
         """Process the next live event; raises if the queue is empty.
@@ -751,15 +704,14 @@ class Environment:
         tombstones they are all retired and the call returns without
         processing anything.
         """
-        sched = self._sched
-        if not len(sched):
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
         while True:
-            try:
-                when, _, event = sched.pop()
-            except IndexError:
+            if not queue:
                 # The queue held only tombstones; all retired.
                 return
+            when, _, event = heappop(queue)
             if type(event) is Timeout and event._cancelled:
                 self._retire_cancelled(event)
                 self._recycle(event)
@@ -814,22 +766,18 @@ class Environment:
 
         Cancelled tombstones are dropped without running callbacks and
         without advancing the clock, so the observable clock trajectory
-        (including the final ``now`` after a full drain) is identical
-        under every scheduler and independent of compaction timing.
+        (including the final ``now`` after a full drain) does not depend
+        on when compaction ran.
         """
         queue = self._queue
-        if queue is None:
-            if self._is_wheel:
-                return self._run_wheel(until)
-            return self._run_sched(until)
         # The dispatch body below is step() inlined (including the
         # tombstone drop and free-list recycling) — the per-event
         # method-call overhead is measurable at millions of events per
         # run.  It also inlines the dispatch itself: a _Resume calls its
         # ``_callback`` directly and every other entry runs the body of
         # Event._process_callbacks here, one frame less per event.  Keep
-        # the copies in sync with step()/_recycle(), the _process_callbacks
-        # methods, _run_wheel() and the generic loop in _run_sched().
+        # the two loops below in sync with each other, with
+        # step()/_recycle() and with the _process_callbacks methods.
         crashed = self._crashed
         resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
@@ -935,259 +883,6 @@ class Environment:
                 # see only the loop local and the argument, as in step().
                 callbacks = callback = None
                 if _getrefcount(event) == 2:  # loop local + getrefcount arg
-                    timeout_pool.append(event)
-        if deadline != float("inf"):
-            self._now = deadline
-        return None
-
-    def _run_wheel(self, until: Optional[float | Event]) -> Any:
-        """The ``run`` dispatch loop with the wheel's hot path inlined.
-
-        Mirrors the inlined heap loops in :meth:`run`: head selection
-        (active-bucket tail vs. near-heap minimum) happens right here
-        instead of through two scheduler method calls per event — at
-        millions of events per run the calls alone cost more than the
-        extraction.  Bucket refills still go through
-        ``WheelScheduler._load_next`` (amortized: once per bucket, not
-        per event).  The ``_cur``/``_near`` lists are stable objects
-        filled in place, so the local aliases below stay valid across
-        refills.  Dispatch is inlined exactly as in :meth:`run` (a
-        ``_Resume`` calls its ``_callback``, anything else runs the
-        ``Event._process_callbacks`` body here).  Keep in sync with
-        step()/_recycle(), the _process_callbacks methods, the heap loops
-        in run() and the wheel's own pop()/pop_until().
-        """
-        sched = self._sched
-        cur = sched._cur
-        near = sched._near
-        load_next = sched._load_next
-        crashed = self._crashed
-        resume_pool = self._resume_pool
-        timeout_pool = self._timeout_pool
-        if isinstance(until, Event):
-            stop_event = until
-            if not stop_event.processed:
-                stop_event.callbacks.append(lambda _event: None)
-            while stop_event._state != PROCESSED:
-                # Head select: tail of the sorted active bucket unless
-                # the near heap holds something earlier.  No lingering
-                # entry-tuple locals — the refcount proofs below need
-                # the key tuple gone by the time they run.
-                if cur:
-                    if near and near[0] < cur[-1]:
-                        when, _, event = heappop(near)
-                    else:
-                        when, _, event = cur.pop()
-                elif near:
-                    when, _, event = heappop(near)
-                else:
-                    if not load_next():
-                        raise SimulationError(
-                            "event queue drained before the awaited event fired"
-                        )
-                    continue
-                cls = type(event)
-                if cls is Timeout and event._cancelled:
-                    event._cancelled = False
-                    event._state = PROCESSED
-                    event.callbacks.clear()
-                    self._cancelled_timers -= 1
-                    if (
-                        _getrefcount is not None
-                        and len(timeout_pool) < _POOL_CAP
-                        and _getrefcount(event) == 2  # loop local + getrefcount arg
-                    ):
-                        timeout_pool.append(event)
-                    continue
-                self._now = when
-                if cls is _Resume:
-                    event._callback(event)
-                    if crashed:
-                        self._raise_crashed()
-                    event._callback = event._value = None
-                    if len(resume_pool) < _POOL_CAP:
-                        resume_pool.append(event)
-                    continue
-                # Event._process_callbacks inlined; tombstones were dropped
-                # above, so a live Timeout takes the same path.
-                event._state = PROCESSED
-                callbacks = event.callbacks
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
-                if crashed:
-                    self._raise_crashed()
-                if (
-                    cls is Timeout
-                    and _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                ):
-                    # Drop the loop's own references first: the proof must
-                    # see only the loop local and the argument, as in step().
-                    callbacks = callback = None
-                    if _getrefcount(event) == 2:  # loop local + getrefcount arg
-                        timeout_pool.append(event)
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            return None
-        while True:
-            if cur:
-                if near and near[0] < cur[-1]:
-                    if near[0][0] > deadline:
-                        break
-                    when, _, event = heappop(near)
-                else:
-                    if cur[-1][0] > deadline:
-                        break
-                    when, _, event = cur.pop()
-            elif near:
-                if near[0][0] > deadline:
-                    break
-                when, _, event = heappop(near)
-            else:
-                if not load_next():
-                    break
-                continue
-            cls = type(event)
-            if cls is Timeout and event._cancelled:
-                event._cancelled = False
-                event._state = PROCESSED
-                event.callbacks.clear()
-                self._cancelled_timers -= 1
-                if (
-                    _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-                continue
-            self._now = when
-            if cls is _Resume:
-                event._callback(event)
-                if crashed:
-                    self._raise_crashed()
-                event._callback = event._value = None
-                if len(resume_pool) < _POOL_CAP:
-                    resume_pool.append(event)
-                continue
-            # Event._process_callbacks inlined; tombstones were dropped
-            # above, so a live Timeout takes the same path.
-            event._state = PROCESSED
-            callbacks = event.callbacks
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
-            if crashed:
-                self._raise_crashed()
-            if (
-                cls is Timeout
-                and _getrefcount is not None
-                and len(timeout_pool) < _POOL_CAP
-            ):
-                # Drop the loop's own references first: the proof must
-                # see only the loop local and the argument, as in step().
-                callbacks = callback = None
-                if _getrefcount(event) == 2:  # loop local + getrefcount arg
-                    timeout_pool.append(event)
-        if deadline != float("inf"):
-            self._now = deadline
-        return None
-
-    def _run_sched(self, until: Optional[float | Event]) -> Any:
-        """The ``run`` dispatch loop for non-heap schedulers.
-
-        Same semantics as the inlined heap loops above, driven through
-        the :class:`~repro.sim.sched.Scheduler` interface.  Tombstones
-        that survived bucket-local dropping (cancelled after their
-        bucket was loaded) are retired here, clock untouched.
-        """
-        sched = self._sched
-        crashed = self._crashed
-        resume_pool = self._resume_pool
-        timeout_pool = self._timeout_pool
-        if isinstance(until, Event):
-            stop_event = until
-            if not stop_event.processed:
-                stop_event.callbacks.append(lambda _event: None)
-            pop = sched.pop
-            while stop_event._state != PROCESSED:
-                try:
-                    when, _, event = pop()
-                except IndexError:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired"
-                    ) from None
-                cls = type(event)
-                if cls is Timeout and event._cancelled:
-                    event._cancelled = False
-                    event._state = PROCESSED
-                    event.callbacks.clear()
-                    self._cancelled_timers -= 1
-                    if (
-                        _getrefcount is not None
-                        and len(timeout_pool) < _POOL_CAP
-                        and _getrefcount(event) == 2  # loop local + getrefcount arg
-                    ):
-                        timeout_pool.append(event)
-                    continue
-                self._now = when
-                event._process_callbacks()
-                if crashed:
-                    self._raise_crashed()
-                if cls is _Resume:
-                    event._callback = event._value = None
-                    if len(resume_pool) < _POOL_CAP:
-                        resume_pool.append(event)
-                elif (
-                    cls is Timeout
-                    and _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            return None
-        pop_until = sched.pop_until
-        while True:
-            entry = pop_until(deadline)
-            if entry is None:
-                break
-            when, _, event = entry
-            cls = type(event)
-            if cls is Timeout and event._cancelled:
-                event._cancelled = False
-                event._state = PROCESSED
-                event.callbacks.clear()
-                self._cancelled_timers -= 1
-                del entry  # release the key tuple so the proof below holds
-                if (
-                    _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-                continue
-            self._now = when
-            event._process_callbacks()
-            if crashed:
-                self._raise_crashed()
-            if cls is _Resume:
-                event._callback = event._value = None
-                if len(resume_pool) < _POOL_CAP:
-                    resume_pool.append(event)
-            elif cls is Timeout and _getrefcount is not None:
-                del entry  # release the key tuple before the refcount proof
-                if (
-                    len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
                     timeout_pool.append(event)
         if deadline != float("inf"):
             self._now = deadline

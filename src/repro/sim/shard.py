@@ -167,9 +167,8 @@ class _ShardHost:
         factory,
         payload,
         lookahead: float,
-        scheduler: Optional[str] = None,
     ):
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.api = ShardAPI(self.env, shard_id, lookahead)
         self.program = factory(self.env, self.api, payload)
 
@@ -200,12 +199,10 @@ class _ShardHost:
         return self.program.result()
 
 
-def _shard_worker_main(
-    conn, shard_id: int, factory, payload, lookahead: float, scheduler=None
-):
+def _shard_worker_main(conn, shard_id: int, factory, payload, lookahead: float):
     """Entry point of one shard worker process (module-level: spawn-safe)."""
     try:
-        host = _ShardHost(shard_id, factory, payload, lookahead, scheduler)
+        host = _ShardHost(shard_id, factory, payload, lookahead)
         conn.send(("ok", host.hello()))
     except BaseException as error:  # noqa: BLE001 - shipped to coordinator
         conn.send(("err", f"{type(error).__name__}: {error}"))
@@ -236,14 +233,9 @@ def _shard_worker_main(
 class _LocalBackend:
     name = "inproc"
 
-    def __init__(
-        self,
-        specs: list[tuple],
-        lookahead: float,
-        scheduler: Optional[str] = None,
-    ):
+    def __init__(self, specs: list[tuple], lookahead: float):
         self.hosts = [
-            _ShardHost(i, factory, payload, lookahead, scheduler)
+            _ShardHost(i, factory, payload, lookahead)
             for i, (factory, payload) in enumerate(specs)
         ]
 
@@ -266,12 +258,7 @@ class _LocalBackend:
 class _ProcessBackend:
     name = "process"
 
-    def __init__(
-        self,
-        specs: list[tuple],
-        lookahead: float,
-        scheduler: Optional[str] = None,
-    ):
+    def __init__(self, specs: list[tuple], lookahead: float):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
@@ -283,7 +270,7 @@ class _ProcessBackend:
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker_main,
-                    args=(child, i, factory, payload, lookahead, scheduler),
+                    args=(child, i, factory, payload, lookahead),
                     daemon=True,
                 )
                 proc.start()
@@ -345,7 +332,6 @@ class ShardCoordinator:
         lookahead: float = DEFAULT_LOOKAHEAD,
         processes: bool = True,
         max_rounds: int = 1_000_000,
-        scheduler: Optional[str] = None,
     ):
         if lookahead <= 0:
             raise SimulationError(f"lookahead must be > 0, got {lookahead}")
@@ -355,29 +341,20 @@ class ShardCoordinator:
         self.lookahead = float(lookahead)
         self.processes = processes
         self.max_rounds = max_rounds
-        # Scheduler *name* (picklable) for every shard environment; None
-        # resolves the process-wide FAASFLOW_SCHEDULER default in each
-        # worker.  Barrier injection uses schedule_at's exact absolute
-        # timestamps, which both schedulers honor bit-identically.
-        self.scheduler = scheduler
 
     def run(self) -> dict:
         backend = None
         states = None
         if self.processes:
             try:
-                backend = _ProcessBackend(
-                    self.programs, self.lookahead, self.scheduler
-                )
+                backend = _ProcessBackend(self.programs, self.lookahead)
                 states = backend.hello_all()
             except _FALLBACK_ERRORS:
                 if backend is not None:
                     backend.close()
                 backend = None
         if backend is None:
-            backend = _LocalBackend(
-                self.programs, self.lookahead, self.scheduler
-            )
+            backend = _LocalBackend(self.programs, self.lookahead)
             states = backend.hello_all()
         try:
             return self._drive(backend, states)
@@ -553,15 +530,13 @@ def run_network_single(
     bandwidth: float = 100 * MB,
     net_kwargs: Optional[dict] = None,
     telemetry: bool = False,
-    scheduler: Optional[str] = None,
 ) -> dict:
     """Single-environment analytic reference for a shardable plan.
 
     Uses the same absolute-time scheduling as the sharded path, so a
-    shard-aligned plan produces bit-identical records either way —
-    under either kernel scheduler.
+    shard-aligned plan produces bit-identical records either way.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     kwargs = dict(net_kwargs or {})
     kwargs["progress"] = "analytic"
     net = Network(env, NetworkConfig(**kwargs))
@@ -646,7 +621,6 @@ def run_network_sharded(
     strict: bool = False,
     net_kwargs: Optional[dict] = None,
     telemetry: bool = False,
-    scheduler: Optional[str] = None,
 ) -> dict:
     """Run a transfer plan across ``shards`` shard environments.
 
@@ -667,7 +641,6 @@ def run_network_sharded(
             bandwidth,
             net_kwargs,
             telemetry=telemetry,
-            scheduler=scheduler,
         )
     parts = partition_nodes(node_names, shards, group_size)
     node_to_shard = {
@@ -692,7 +665,6 @@ def run_network_sharded(
         [(_network_shard_factory, payload) for payload in payloads],
         lookahead=look,
         processes=processes,
-        scheduler=scheduler,
     )
     outcome = coordinator.run()
     records: list[tuple] = []

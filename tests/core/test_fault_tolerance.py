@@ -437,6 +437,59 @@ class TestNodeCrashes:
             assert worker.nic.bandwidth == cluster.config.worker.bandwidth
 
 
+class TestOverlappingDegradations:
+    """Brown-out windows compose per NIC against its configured base."""
+
+    SAMPLE_AT = (2.0, 4.0, 6.0, 7.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "windows, scaled",
+        [
+            (
+                # The first window closes at t=6 before the sample
+                # there: its timer was scheduled earlier.
+                [(1.0, 5.0, 0.25), (3.0, 5.0, 0.25)],
+                [0.25, 0.0625, 0.25, 0.25, 1.0],
+            ),
+            (
+                [(1.0, 10.0, 0.5), (3.0, 2.0, 0.25)],
+                [0.5, 0.125, 0.5, 0.5, 1.0],
+            ),
+            (
+                [(1.0, 2.0, 0.25), (5.0, 1.5, 0.5)],
+                [0.25, 1.0, 0.5, 1.0, 1.0],
+            ),
+        ],
+        ids=["overlapping", "nested", "disjoint"],
+    )
+    def test_bandwidth_is_base_times_open_factors(self, windows, scaled):
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig(workers=2))
+        plan = FaultPlan(
+            degradations=[
+                NetworkDegradation(start=start, duration=duration, factor=f)
+                for start, duration, f in windows
+            ]
+        )
+        FaultDriver(cluster, plan).start()
+        nodes = [*cluster.workers, cluster.storage_node]
+        base = {node.name: node.nic.bandwidth for node in nodes}
+        samples = []
+
+        def sampler():
+            for at in self.SAMPLE_AT:
+                yield env.timeout(at - env.now)
+                samples.append(
+                    {node.nic.bandwidth / base[node.name] for node in nodes}
+                )
+
+        env.process(sampler())
+        env.run()
+        assert samples == [{factor} for factor in scaled]
+        for node in nodes:
+            assert node.nic.bandwidth == base[node.name]
+
+
 class TestBackoffIntegration:
     def test_backoff_adds_latency_on_crashed_paths(self, env, cluster):
         def run_with(base):

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import (
     AllOf,
@@ -362,3 +364,51 @@ class TestDeterminism:
             return log
 
         assert trace() == trace()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            min_size=1,
+            max_size=120,
+        ),
+        at_mask=st.lists(st.booleans(), min_size=1, max_size=120),
+    )
+    def test_same_timestamp_events_fire_in_eid_order(self, times, at_mask):
+        # Duplicate roughly half the times so ties are common, and mix
+        # relative (timeout) with absolute (schedule_at, the cross-shard
+        # injection primitive) scheduling.
+        times = times + times[: len(times) // 2]
+        env = Environment()
+        fired = []
+        for tag, when in enumerate(times):
+            if at_mask[tag % len(at_mask)]:
+                event = env.schedule_at(when)
+            else:
+                event = env.timeout(when)
+            event.callbacks.append(lambda _e, t=tag: fired.append(t))
+        env.run()
+        # The (when, eid) total order: by time, ties in creation order.
+        assert fired == sorted(range(len(times)), key=lambda t: (times[t], t))
+
+    def test_schedule_at_cross_shard_style_injection(self, env):
+        """Events injected at exact absolute timestamps (the barrier
+        protocol's delivery primitive) interleave correctly with local
+        timers scheduled before and after them."""
+        fired = []
+        env.timeout(2.0).callbacks.append(lambda _e: fired.append("local-2"))
+        env.schedule_at(1.5).callbacks.append(lambda _e: fired.append("inj-1.5"))
+        env.schedule_at(2.0).callbacks.append(lambda _e: fired.append("inj-2a"))
+        env.timeout(2.0).callbacks.append(lambda _e: fired.append("local-2b"))
+        env.schedule_at(2.0).callbacks.append(lambda _e: fired.append("inj-2c"))
+        env.run()
+        # t=2.0 ties resolve strictly by creation (eid) order.
+        assert fired == ["inj-1.5", "local-2", "inj-2a", "local-2b", "inj-2c"]
+        assert env.now == 2.0
+
+    def test_final_drain_time_ignores_tombstones(self, env):
+        env.timeout(1.0)
+        late = env.timeout(50.0)
+        late.cancel()
+        env.run()
+        assert env.now == 1.0

@@ -1,11 +1,12 @@
-"""Dispatch-path invariants of the kernel, under both schedulers.
+"""Dispatch-path invariants of the kernel.
 
 ``run()`` inlines event dispatch (a ``_Resume`` calls its callback
 directly, every other entry runs the ``Event._process_callbacks`` body
 in the loop), while ``step()`` goes through ``_process_callbacks``; both
 must realize the same dispatch order.  A process binds its wake-up
 callback once and drops it when it ends, so a finished or failed
-process is freed by reference counting alone.
+process is freed by reference counting alone.  Dispatched timeouts are
+recycled only when the refcount proves nobody else holds them.
 """
 
 import gc
@@ -16,9 +17,9 @@ import pytest
 from repro.sim.kernel import Environment, Interrupt, SimulationError
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def env(request):
-    return Environment(scheduler=request.param)
+@pytest.fixture
+def env():
+    return Environment()
 
 
 @pytest.fixture
@@ -123,7 +124,7 @@ class TestDispatchMatchesStep:
         run_log, step_log = [], []
         scenario(env, run_log)
         env.run()
-        reference = Environment(scheduler=env.scheduler_name)
+        reference = Environment()
         scenario(reference, step_log)
         stepped(reference)
         assert run_log == step_log == EXPECTED
@@ -136,7 +137,7 @@ class TestDispatchMatchesStep:
         run_log, step_log = [], []
         drive = scenario(env, run_log)
         assert env.run(until=drive) == "driver"
-        reference = Environment(scheduler=env.scheduler_name)
+        reference = Environment()
         stepped(reference, until=scenario(reference, step_log))
         assert run_log == step_log
         assert env.now == reference.now
@@ -146,7 +147,7 @@ class TestDispatchMatchesStep:
         scenario(env, run_log)
         for deadline in (0.25, 0.5, 1.5, 1.5, 2.0, 10.0):
             env.run(until=deadline)
-        reference = Environment(scheduler=env.scheduler_name)
+        reference = Environment()
         scenario(reference, step_log)
         stepped(reference)
         assert run_log == step_log
@@ -262,6 +263,44 @@ class TestProcessLifetime:
             frames.append(tb.tb_frame.f_code.co_name)
             tb = tb.tb_next
         assert frames == ["worker"]
+
+
+class TestTimeoutPooling:
+    """_POOL_CAP recycling proves sole ownership before reusing a timer."""
+
+    def test_referenced_timeout_never_recycled(self, env):
+        held = env.timeout(1.0)  # the test keeps this reference
+        env.run()
+        assert not env._timeout_pool or env._timeout_pool[0] is not held
+        # A later timeout must be a fresh object, not `held` reused.
+        fresh = env.timeout(1.0)
+        assert fresh is not held
+
+    def test_unreferenced_timeouts_are_pooled_and_reused(self, env):
+        for _ in range(10):
+            env.timeout(0.5)
+        env.run()
+        assert len(env._timeout_pool) == 10
+        before = list(env._timeout_pool)
+        again = env.timeout(0.5)
+        assert again is before[-1]  # LIFO reuse from the free-list
+
+    def test_cancelled_unreferenced_timeouts_are_pooled(self, env):
+        for _ in range(8):
+            env.timeout(5.0).cancel()
+        env.timeout(6.0)
+        env.run()
+        # Tombstones dropped at pop (or by compaction) still reach the
+        # free-list.
+        assert len(env._timeout_pool) == 9
+
+    def test_held_cancelled_timeout_not_pooled(self, env):
+        held = env.timeout(5.0)
+        held.cancel()
+        env.timeout(6.0)
+        env.run()
+        assert held not in env._timeout_pool
+        assert held.processed and not held.cancelled
 
 
 class _Proxy:

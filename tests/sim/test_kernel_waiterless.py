@@ -11,9 +11,9 @@ import pytest
 from repro.sim.kernel import Environment, SimulationError, StopProcess
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def env(request):
-    return Environment(scheduler=request.param)
+@pytest.fixture
+def env():
+    return Environment()
 
 
 def worker(env, value, delay=1.0):
