@@ -2,11 +2,16 @@
 
 ``_seed_network.py`` is a verbatim copy of ``sim/network.py`` as it
 stood before the scaling work (flow aggregation into route classes,
-incremental component-local rebalancing, timer cancellation, the
-water-filling level cache).  Both modules are driven by the byte-exact
-same workload — ``repro.experiments.fig_scale.drive_network``, a seeded
-mix of worker-group transfers with a per-group collector hotspot — and
-must produce **bit-identical** transfer records; the bench then compares
+component-local rebalancing, per-component analytic progress, timer
+cancellation, the water-filling level cache).  Both modules are driven
+by the byte-exact same workload —
+``repro.experiments.fig_scale.drive_network``, a seeded mix of
+worker-group transfers with a per-group collector hotspot — and must
+produce the same transfer records: identical routes, sizes and start
+times, and finish times within ``_FINISH_REL_TOL`` (the live model
+advances a flow's bytes only at its own component's events, so finish
+times differ from the seed's in the last bits).  Each cell reports its
+``max_finish_rel_diff``; the bench then compares
 wall-clock/events-per-second across a nodes x concurrent-flows sweep.
 
 Run directly (``python benchmarks/test_bench_network.py``) to refresh
@@ -29,6 +34,10 @@ from repro.sim import network as new_network
 
 _HERE = Path(__file__).resolve().parent
 _ROUNDS = 3
+# Per-record finish-time tolerance against the seed model (measured
+# worst case over the full sweep: 3.2e-15).  tests/sim/test_network_model.py
+# asserts the same bound in the tier-1 suite.
+_FINISH_REL_TOL = 1e-12
 # High-contention sweep points (>= 64 nodes or >= 500 concurrent flows)
 # must hold this geometric-mean speedup; every 8-node point must not
 # regress below 1.0x.
@@ -65,23 +74,46 @@ def _is_high_contention(nodes: int, flows: int) -> bool:
     return nodes >= 64 or flows >= 500
 
 
+def _max_finish_rel_diff(reference: list, candidate: list) -> float:
+    """Largest relative finish-time difference, record by record.
+
+    Raises if the records differ in anything but finish time, or if a
+    finish time is off by more than ``_FINISH_REL_TOL``.
+    """
+    if len(reference) != len(candidate):
+        raise AssertionError(
+            f"{len(candidate)} records against the seed's {len(reference)}"
+        )
+    worst = 0.0
+    for theirs, ours in zip(reference, candidate):
+        if ours[:4] != theirs[:4] or ours[5:] != theirs[5:]:
+            raise AssertionError(f"record {ours} differs from seed {theirs}")
+        diff = abs(ours[4] - theirs[4]) / abs(theirs[4])
+        if diff > _FINISH_REL_TOL:
+            raise AssertionError(
+                f"finish time {ours[4]!r} vs seed {theirs[4]!r}: relative "
+                f"difference {diff:.3g} exceeds {_FINISH_REL_TOL}"
+            )
+        worst = max(worst, diff)
+    return worst
+
+
 def _measure(cells, rounds: int = _ROUNDS):
     """Per-cell best-of-``rounds`` wall clock, interleaved A/B.
 
     Round one of every cell also collects transfer records from both
-    modules and asserts they are tuple-identical — the bench is invalid
-    if the optimized model drifts from the reference by a single bit.
+    modules and checks them with :func:`_max_finish_rel_diff` — the
+    bench is invalid if the optimized model drifts from the reference
+    beyond float rounding.
     """
     seed_mod = _load_seed_network()
     results = []
     for nodes, flows in cells:
         reference = drive_network(seed_mod, nodes, flows, collect_records=True)
         candidate = drive_network(new_network, nodes, flows, collect_records=True)
-        if reference["records"] != candidate["records"]:
-            raise AssertionError(
-                f"optimized network model diverged from the seed at "
-                f"nodes={nodes} flows={flows}"
-            )
+        max_diff = _max_finish_rel_diff(
+            reference["records"], candidate["records"]
+        )
         seed_wall = float("inf")
         new_wall = float("inf")
         # Sub-10ms cells are scheduler-noise dominated: give them enough
@@ -111,7 +143,7 @@ def _measure(cells, rounds: int = _ROUNDS):
                 "optimized_events_per_sec": round(events / new_wall),
                 "speedup": round(seed_wall / new_wall, 3),
                 "high_contention": _is_high_contention(nodes, flows),
-                "records_identical": True,
+                "max_finish_rel_diff": max_diff,
             }
         )
     return results
@@ -142,7 +174,7 @@ def test_network_speedup_vs_seed(benchmark):
     results, aggregate = benchmark.pedantic(run_ab, rounds=1, iterations=1)
     benchmark.extra_info["cells"] = results
     benchmark.extra_info.update(aggregate)
-    assert all(r["records_identical"] for r in results)
+    assert all(r["max_finish_rel_diff"] <= _FINISH_REL_TOL for r in results)
     assert aggregate["geomean_speedup"] >= 1.0, (
         f"network model slower than the frozen seed: {aggregate} {results}"
     )

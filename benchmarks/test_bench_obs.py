@@ -1,21 +1,21 @@
 """Telemetry-overhead A/B bench: instrumented engines vs NullRegistry.
 
-Runs the same engine workload (a spread of realworld + synthetic cells
-through ``run_workflow_cells``) twice over:
+Runs the same engine workload (a spread of benchmark workflows on both
+engine modes, each as ``run_trials`` trials) twice over:
 
 - **off** — the default ``NULL_TELEMETRY`` path: every producer holds
   the null registry and pays one ``enabled`` attribute check per
   would-be emit;
 - **on** — ``collect_telemetry=True``: a ``MetricsRegistry`` on the
   simulated clock receives every engine/runtime/faastore/network/
-  container emit and each cell ships a full snapshot.
+  container emit and each trial ships a full snapshot.
 
 The headline number is the instrumented-over-off wall-clock ratio
 (best-of rounds on both sides); CI gates on ``overhead_ratio`` staying
-under ``_MAX_OVERHEAD_RATIO``.  The bench also re-asserts the sharded
-merge contract — per-cell snapshots merged in cell order at S=2 must be
-bit-identical to the shards=1 run — so a determinism regression
-invalidates the bench, not just a test.
+under ``_MAX_OVERHEAD_RATIO``.  The bench also re-asserts the parallel
+merge contract — per-trial snapshots merged in trial order at
+``jobs=2`` must be bit-identical to the ``jobs=1`` run — so a
+determinism regression invalidates the bench, not just a test.
 
 Run directly (``python benchmarks/test_bench_obs.py``) to refresh the
 committed ``BENCH_obs.json``; ``--quick`` is the CI smoke variant
@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.obs.telemetry import merge_snapshots
-from repro.sim.shard import make_workflow_cell, run_workflow_cells
+from repro.runner import run_trials
 
 _HERE = Path(__file__).resolve().parent
 _ROUNDS = 3
@@ -43,24 +43,26 @@ _ROUNDS = 3
 _MAX_OVERHEAD_RATIO = 2.0
 _INVOCATIONS = 6
 _QUICK_INVOCATIONS = 2
+_TRIALS = 2
 
 _WORKLOADS = [
-    (("layered_random", {"seed": 3}), "worker", 13, 3),
+    ("file-processing", "worker", 13, 3),
     ("cycles", "worker", 7, 3),
     ("video-ffmpeg", "worker", 29, 4),
     ("genome", "master", 17, 4),
 ]
 
 
-def _cells(invocations: int, telemetry: bool) -> list[dict]:
+def _run(invocations: int, telemetry: bool, jobs: int = 1) -> list:
+    """Every workload's trials, in workload then trial order."""
     extra = {"collect_telemetry": True} if telemetry else {}
-    return [
-        make_workflow_cell(
-            workload, engine=engine, seed=seed,
+    summaries = []
+    for source, engine, seed, workers in _WORKLOADS:
+        summaries += run_trials(
+            source, trials=_TRIALS, jobs=jobs, seed=seed, engine=engine,
             invocations=invocations, workers=workers, **extra,
         )
-        for workload, engine, seed, workers in _WORKLOADS
-    ]
+    return summaries
 
 
 def _best_of(fn, rounds: int) -> float:
@@ -77,32 +79,28 @@ def _canon(snapshot) -> str:
 
 
 def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
-    off_cells = _cells(invocations, telemetry=False)
-    on_cells = _cells(invocations, telemetry=True)
-    total_invocations = invocations * len(_WORKLOADS)
+    total_invocations = invocations * len(_WORKLOADS) * _TRIALS
 
-    # Merge contract first: cells sharded at S=2 must merge to the exact
-    # snapshot the serial layout produces.  A failure here means the
-    # overhead number would be measuring a broken subsystem.
-    serial = run_workflow_cells(on_cells, shards=1)
-    sharded = run_workflow_cells(on_cells, shards=2)
-    merged_serial = merge_snapshots([r["telemetry"] for r in serial])
-    merged_sharded = merge_snapshots([r["telemetry"] for r in sharded])
-    if _canon(merged_sharded) != _canon(merged_serial):
+    # Merge contract first: trials run on two worker processes must
+    # merge to the exact snapshot the serial run produces.  A failure
+    # here means the overhead number would be measuring a broken
+    # subsystem.
+    serial = _run(invocations, telemetry=True, jobs=1)
+    pooled = _run(invocations, telemetry=True, jobs=2)
+    merged_serial = merge_snapshots([s["telemetry"] for s in serial])
+    merged_pooled = merge_snapshots([s["telemetry"] for s in pooled])
+    if _canon(merged_pooled) != _canon(merged_serial):
         raise AssertionError(
-            "sharded telemetry merge diverged from the serial run"
+            "telemetry merge at jobs=2 diverged from the serial run"
         )
     series = len(merged_serial["metrics"])
 
-    off_wall = _best_of(
-        lambda: run_workflow_cells(off_cells, shards=1), rounds
-    )
-    on_wall = _best_of(
-        lambda: run_workflow_cells(on_cells, shards=1), rounds
-    )
+    off_wall = _best_of(lambda: _run(invocations, telemetry=False), rounds)
+    on_wall = _best_of(lambda: _run(invocations, telemetry=True), rounds)
     return {
-        "invocations_per_cell": invocations,
-        "cells": len(_WORKLOADS),
+        "invocations_per_trial": invocations,
+        "workloads": len(_WORKLOADS),
+        "trials_per_workload": _TRIALS,
         "total_invocations": total_invocations,
         "metric_series": series,
         "off_wall_seconds": round(off_wall, 6),
@@ -110,7 +108,7 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         "off_invocations_per_sec": round(total_invocations / off_wall, 2),
         "on_invocations_per_sec": round(total_invocations / on_wall, 2),
         "overhead_ratio": round(on_wall / off_wall, 4),
-        "sharded_merge_identical": True,
+        "parallel_merge_identical": True,
     }
 
 
@@ -121,7 +119,7 @@ def test_telemetry_overhead_bounded(benchmark):
         iterations=1,
     )
     benchmark.extra_info.update(result)
-    assert result["sharded_merge_identical"]
+    assert result["parallel_merge_identical"]
     assert result["metric_series"] > 0
     assert result["overhead_ratio"] < _MAX_OVERHEAD_RATIO
 
@@ -139,10 +137,10 @@ def main(argv=None) -> int:
         "per would-be emit)",
         "instrumented": "MetricsRegistry on the simulated clock: engines, "
         "runtime, faastore, network, and containers all emitting",
-        "workload": "run_workflow_cells over layered_random/cycles/"
-        "video-ffmpeg/genome cells, both engine modes",
-        "invariant": "S=2 sharded per-cell snapshots merged in cell order "
-        "are bit-identical to the shards=1 run",
+        "workload": "run_trials over file-processing/cycles/"
+        "video-ffmpeg/genome, both engine modes",
+        "invariant": "per-trial snapshots from jobs=2, merged in trial "
+        "order, are bit-identical to the jobs=1 run",
         "max_overhead_ratio": _MAX_OVERHEAD_RATIO,
         "quick": quick,
         "cpu_count": os.cpu_count(),

@@ -49,10 +49,10 @@ def new_invocation_id() -> InvocationID:
 def reset_invocation_ids(base: int = 1) -> None:
     """Restart the invocation-id sequence at ``base``.
 
-    Sharded cell execution gives every cell a disjoint, deterministic id
-    range (``cell_index * stride + 1``) so invocation records come out
+    ``runner.run_trials`` gives every trial a disjoint, deterministic id
+    range (``index * stride + 1``) so invocation records come out
     identical no matter which worker process — or how many — ran the
-    cell.  Never call this mid-run; ids must stay unique within a
+    trial.  Never call this mid-run; ids must stay unique within a
     simulation.
     """
     global _invocation_counter

@@ -102,14 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_jobs_argument(parser)
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run shard-aware experiments (fig_scale) on N conservatively-"
-        "synchronized shard processes; others ignore this flag",
-    )
-    parser.add_argument(
         "--csv",
         metavar="DIR",
         help="also write each result's table to DIR/<id>.csv",
@@ -144,8 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="collect a streaming metrics snapshot for every cluster the "
-        "experiments build (and for fig_scale's network cells, sharded "
-        "or not) and write *-telemetry.json files to DIR",
+        "experiments build (and for fig_scale's network cells) and "
+        "write *-telemetry.json files to DIR",
     )
     args = parser.parse_args(argv)
     collector = None
@@ -176,10 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             # Sweep-style experiments fan their independent cells out
             # across a process pool; the rest ignore --jobs.
             kwargs["jobs"] = args.jobs
-        if args.shards != 1 and "shards" in parameters:
-            kwargs["shards"] = args.shards
         if args.telemetry_out and "telemetry_out" in parameters:
-            # Experiments that build their own sharded/network cells
+            # Experiments that build their own network cells
             # (fig_scale) write their snapshots directly; the ambient
             # collector covers everything built through make_cluster.
             kwargs["telemetry_out"] = args.telemetry_out

@@ -7,7 +7,7 @@ This sweep drives the fluid network model alone — no engines, no
 containers — across cluster sizes and concurrent-flow counts and reports
 how fast the simulator itself processes flow events.  It is the
 experiment-harness face of ``benchmarks/test_bench_network.py``, which
-additionally A/B-compares against the frozen pre-optimization model.
+additionally compares against the frozen pre-optimization model.
 
 The workload models FaaSFlow's locality structure: the cluster is
 partitioned into worker groups of ``group_size`` nodes (one deployed
@@ -16,7 +16,7 @@ of one group, and a configurable fraction of each group's traffic aims
 at the group's first node — the per-workflow collector/storage hotspot
 of the paper's Figs. 12-14 regime.  ``group_size >= nodes`` collapses
 the partitioning and yields uniform all-to-all traffic, the worst case
-for the incremental allocator (one connected component, no route
+for component-local rebalancing (one connected component, no route
 repetition).
 """
 
@@ -31,7 +31,6 @@ from .common import ExperimentResult, ParallelRunner
 __all__ = [
     "run",
     "drive_network",
-    "drive_network_sharded",
     "make_plan",
     "DEFAULT_NODES",
     "DEFAULT_FLOWS",
@@ -50,13 +49,12 @@ def make_plan(
 ) -> list[tuple[float, float, int, int, float]]:
     """Generate the arrival plan: ``(gap, at, src, dst, size)`` entries.
 
-    ``gap`` is the inter-arrival delay consumed by the serial driver's
-    timeout loop; ``at`` is the same instant as an absolute timestamp
-    (``at = previous at + gap``, the identical float-addition sequence the
-    kernel performs when accumulating timeouts, so both representations
-    land on bit-identical start times).  Pre-generating the plan keeps
-    RNG consumption identical no matter which module or shard layout
-    executes it.
+    ``gap`` is the inter-arrival delay consumed by the driver's timeout
+    loop; ``at`` is the same instant as an absolute timestamp (``at =
+    previous at + gap``, the identical float-addition sequence the kernel
+    performs when accumulating timeouts, so both representations land on
+    bit-identical start times).  Pre-generating the plan keeps RNG
+    consumption identical no matter which network module executes it.
     """
     rng = random.Random(seed)
     window = max(0.25, flows / 400.0)  # arrival burst, simulated seconds
@@ -140,73 +138,6 @@ def drive_network(
     return out
 
 
-def drive_network_sharded(
-    nodes: int,
-    flows: int,
-    shards: int,
-    seed: int = 11,
-    group_size: int = 8,
-    hotspot_fraction: float = 0.3,
-    bandwidth: float = 100 * MB,
-    processes: bool = True,
-    strict: bool = True,
-    collect_records: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """Run one sweep cell on ``shards`` conservatively-synchronized shards.
-
-    Uses the same byte-exact arrival plan as :func:`drive_network` but in
-    its absolute-time form, executed through ``repro.sim.shard``.  The
-    default partition keeps each ``group_size`` traffic group whole, so
-    no flow crosses a shard boundary and records come out bit-identical
-    to a single analytic run (``strict=True`` enforces exactly that).
-    """
-    from ..sim.shard import run_network_sharded
-
-    plan = make_plan(
-        nodes, flows, seed=seed,
-        group_size=group_size, hotspot_fraction=hotspot_fraction,
-    )
-    names = [f"n{i}" for i in range(nodes)]
-    abs_plan = [
-        (at, f"n{src}", f"n{dst}", size)
-        for _gap, at, src, dst, size in plan
-    ]
-    group_size = min(group_size, nodes)
-    n_groups = -(-nodes // group_size)
-    shards = min(shards, n_groups)  # a group can never straddle shards
-    start = time.perf_counter()
-    result = run_network_sharded(
-        abs_plan,
-        names,
-        shards,
-        bandwidth=bandwidth,
-        group_size=group_size,
-        processes=processes,
-        strict=strict,
-        telemetry=telemetry,
-    )
-    wall = time.perf_counter() - start
-    events = 2 * flows
-    out = {
-        "nodes": nodes,
-        "flows": flows,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else float("inf"),
-        "sim_makespan": result["makespan"],
-        "shards": result["shards"],
-        "rounds": result["rounds"],
-        "cross_flows": result["cross_flows"],
-        "backend": result["backend"],
-    }
-    if collect_records:
-        out["records"] = result["records"]
-    if telemetry:
-        out["telemetry"] = result["telemetry"]
-    return out
-
-
 def _cell(task: tuple) -> dict:
     """One sweep cell against the live network model (pool-shippable)."""
     nodes, flows, seed, telemetry = task
@@ -220,7 +151,6 @@ def run(
     flows: tuple[int, ...] = DEFAULT_FLOWS,
     seed: int = 11,
     jobs: int = 1,
-    shards: int = 1,
     telemetry_out: str | None = None,
 ) -> ExperimentResult:
     cells = [
@@ -230,19 +160,9 @@ def run(
         )
     ]
     telemetry = telemetry_out is not None
-    if shards > 1:
-        # Shard workers provide the parallelism inside each cell, so the
-        # cells themselves run serially regardless of --jobs.  With
-        # telemetry on, each shard collects its own registry and the
-        # snapshots merge at drain (value-identical to shards=1).
-        results = [
-            drive_network_sharded(n, f, shards, seed=s, telemetry=telemetry)
-            for n, f, s in cells
-        ]
-    else:
-        results = ParallelRunner(jobs).map(
-            _cell, [(n, f, s, telemetry) for n, f, s in cells]
-        )
+    results = ParallelRunner(jobs).map(
+        _cell, [(n, f, s, telemetry) for n, f, s in cells]
+    )
     if telemetry_out is not None:
         from pathlib import Path
 
@@ -261,47 +181,33 @@ def run(
                     ),
                     snapshot,
                 )
-    rows = []
-    for stats in results:
-        row = [
+    rows = [
+        [
             stats["nodes"],
             stats["flows"],
             round(stats["wall_seconds"] * 1000, 2),
             round(stats["events_per_sec"]),
             round(stats["sim_makespan"], 3),
         ]
-        if shards > 1:
-            row += [stats["shards"], stats["rounds"]]
-        rows.append(row)
-    headers = [
-        "nodes",
-        "flows",
-        "wall (ms)",
-        "events/sec",
-        "sim makespan (s)",
+        for stats in results
     ]
-    if shards > 1:
-        headers += ["shards", "rounds"]
     return ExperimentResult(
         experiment="fig_scale",
         title="Fluid network model throughput vs cluster size x concurrent flows",
-        headers=headers,
+        headers=[
+            "nodes",
+            "flows",
+            "wall (ms)",
+            "events/sec",
+            "sim makespan (s)",
+        ],
         rows=rows,
         notes=[
             "events/sec = flow arrivals + completions over real wall time; "
             "simulated results are wall-time independent",
             "A/B speedup vs the frozen pre-optimization model lives in "
             "BENCH_network.json (benchmarks/test_bench_network.py)",
-        ]
-        + (
-            [
-                "sharded cells use the analytic progress mode with "
-                "conservative windows; records are bit-identical to a "
-                "single analytic run (strict partition alignment)"
-            ]
-            if shards > 1
-            else []
-        ),
+        ],
         data={"cells": list(results)},
     )
 

@@ -15,8 +15,8 @@ Streaming telemetry (:mod:`repro.obs.telemetry`) is the constant-memory
 counterpart: a :class:`MetricsRegistry` of counters, gauges, and
 log-bucketed mergeable histograms keyed by labeled dimensions, windowed
 on simulated time, with the same zero-cost-off guarantee
-(:data:`NULL_TELEMETRY`) and a deterministic merge so sharded runs
-aggregate value-identically to single-process runs.  SLO targets are
+(:data:`NULL_TELEMETRY`) and a deterministic merge so multi-trial runs
+aggregate identically for any number of worker processes.  SLO targets are
 evaluated over snapshots with :class:`SLOTracker`.
 """
 

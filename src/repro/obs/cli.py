@@ -19,8 +19,8 @@ subcommands::
     faasflow-trace slo out/ --latency-target 2.0 --objective 95
 
 ``--validate`` covers telemetry snapshots too (bucket-count and
-window-sum invariants), so a sharded ``--telemetry-out`` bundle with no
-span files still validates.
+window-sum invariants), so a ``--telemetry-out`` bundle with no span
+files (a merged ``--trials`` snapshot, say) still validates.
 """
 
 from __future__ import annotations

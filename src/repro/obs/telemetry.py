@@ -16,13 +16,13 @@ Three properties carry the design:
   uninstrumented run pays one truthiness check per emit point.
 - **Mergeable.**  Every instrument has an exact, deterministic merge:
   counters and histogram buckets add, gauges are last-writer-wins on
-  the simulated clock.  A sharded run collects one registry per shard
-  and merges their :meth:`~MetricsRegistry.snapshot`\\ s with
-  :func:`merge_snapshots`; because the merge runs in a deterministic
-  order (shard/cell order) over per-shard values that are themselves
-  bit-identical to a single-process run's, merged sharded telemetry is
-  value-identical to the unsharded aggregate (asserted in the test
-  suite and in ``benchmarks/test_bench_obs.py``).
+  the simulated clock.  A multi-trial run (``faasflow-run --trials``)
+  collects one registry per trial and merges their
+  :meth:`~MetricsRegistry.snapshot`\\ s with :func:`merge_snapshots`;
+  because the merge runs in trial order over per-trial values that do
+  not depend on which worker process ran the trial, the merged
+  telemetry is identical for any ``--jobs`` (asserted in the test suite
+  and in ``benchmarks/test_bench_obs.py``).
 - **Bounded error.**  Histogram buckets grow geometrically (default
   ``growth=1.1``), so any quantile read off a bucket's upper bound is
   within a factor ``growth`` of the true order statistic while
@@ -288,7 +288,7 @@ class Gauge:
 
     The merge rule (keep the larger ``(time, value)`` pair) is
     deterministic but order-free, so gauges are safe to merge across
-    shards — at the cost of only ever reflecting the latest writer.
+    runs — at the cost of only ever reflecting the latest writer.
     """
 
     __slots__ = ("value", "time")
@@ -496,11 +496,10 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Merge telemetry snapshots in the given (deterministic) order.
 
     Counters and histogram buckets add; gauges are last-writer-wins on
-    simulated time.  Merging per-shard snapshots in shard order (or
-    per-cell snapshots in cell order) performs the identical float
-    addition sequence no matter how many processes produced them, which
-    is what makes merged sharded telemetry value-identical to a
-    single-process run.
+    simulated time.  Merging per-trial snapshots in trial order performs
+    the identical float addition sequence no matter how many processes
+    produced them, which is what makes merged multi-trial telemetry the
+    same for any number of worker processes.
     """
     snapshots = list(snapshots)
     window = DEFAULT_WINDOW

@@ -27,6 +27,7 @@ from .core import (
     GraphScheduler,
     hash_partition,
 )
+from .core.state import reset_invocation_ids
 from .parallel import ParallelRunner, add_jobs_argument, derive_seed
 from .sim import Cluster, ClusterConfig, Environment, MB
 from .wdl import WDLError, load_workflow
@@ -91,8 +92,8 @@ def run_workflow(
     writes its snapshot as ``<workflow>-telemetry.json`` into that
     directory (or to the path itself if it ends in ``.json``);
     ``collect_telemetry`` collects the same snapshot without writing,
-    returning it as ``summary.telemetry`` — the form sharded trial
-    cells use, merged deterministically in cell order afterwards.
+    returning it as ``summary.telemetry`` — the form trials use, merged
+    deterministically in trial order afterwards.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -240,11 +241,20 @@ _SCALAR_FIELDS = (
 )
 
 
+# Every trial owns a disjoint invocation-id range this wide.
+_TRIAL_ID_STRIDE = 10_000_000
+
+
 def _trial_task(payload: tuple) -> dict:
     """Run one independent trial in a (possibly pooled) worker."""
-    source, seed, kwargs = payload
+    source, index, seed, kwargs = payload
+    # A fixed id range per trial: its records, and everything keyed by
+    # invocation id, do not depend on which worker ran it or what that
+    # worker ran before.
+    reset_invocation_ids(index * _TRIAL_ID_STRIDE + 1)
     summary = run_workflow(_load_dag(source), seed=seed, **kwargs)
     result = {field: summary[field] for field in _SCALAR_FIELDS}
+    result["records"] = summary["records"]
     if summary.get("telemetry") is not None:
         # A snapshot is a plain dict: it survives the pool round-trip.
         result["telemetry"] = summary["telemetry"]
@@ -256,46 +266,22 @@ def run_trials(
     trials: int = 3,
     jobs: int = 1,
     seed: int = 13,
-    shards: int | None = None,
     **run_kwargs,
 ) -> list[RunSummary]:
     """Run ``trials`` independent repetitions of a workflow run.
 
     Each trial gets a deterministic seed derived from ``seed`` and the
-    trial index, so the set of results is identical whether the trials
-    execute serially or fan out over ``jobs`` worker processes.
-    ``source`` is a WDL path or benchmark name (re-loaded per worker —
-    live DAG/system objects never cross the process boundary).
-
-    ``shards`` routes the trials through the sharded cell machinery
-    (``repro.sim.shard.run_workflow_cells``) instead: each trial becomes
-    one cell with a pinned, disjoint invocation-id range, so the
-    returned summaries — including their ``records`` tuples — are
-    bit-identical for any shard count (``jobs`` is ignored in that
-    mode; the shard workers are the process pool).
+    trial index, and its own invocation-id range, so the returned
+    summaries — scalars, ``records`` and ``telemetry`` — are identical
+    whether the trials execute serially or fan out over ``jobs`` worker
+    processes.  ``source`` is a WDL path or benchmark name (re-loaded
+    per worker — live DAG/system objects never cross the process
+    boundary).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        from .sim.shard import run_workflow_cells
-
-        # Build cell specs directly (not via make_workflow_cell) so that
-        # omitted kwargs keep run_workflow's own defaults, exactly like
-        # the non-sharded path.
-        cells = [
-            dict(
-                workload=source,
-                seed=derive_seed(seed, "trial", index),
-                **run_kwargs,
-            )
-            for index in range(trials)
-        ]
-        results = run_workflow_cells(cells, shards=shards)
-        return [RunSummary(result) for result in results]
     tasks = [
-        (source, derive_seed(seed, "trial", index), dict(run_kwargs))
+        (source, index, derive_seed(seed, "trial", index), dict(run_kwargs))
         for index in range(trials)
     ]
     results = ParallelRunner(jobs).map(_trial_task, tasks)
@@ -410,11 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_jobs_argument(parser)
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="with --trials: run the trials as shard cells on N worker "
-        "processes (bit-identical to serial; overrides --jobs)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=13,
         help="base seed for arrivals/faults (trials derive from it)",
     )
@@ -480,7 +461,6 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             jobs=args.jobs,
             seed=args.seed,
-            shards=args.shards,
             **run_kwargs,
         )
         print(_format_trials(summaries))
@@ -500,12 +480,6 @@ def main(argv: list[str] | None = None) -> int:
             write_telemetry_json(out, merged)
             print(f"telemetry snapshot: {out}")
         return 0
-    if args.shards is not None:
-        print(
-            "note: --shards only applies with --trials > 1 "
-            "(a single run has nothing to shard)",
-            file=sys.stderr,
-        )
     summary = run_workflow(
         dag,
         trace=args.trace,

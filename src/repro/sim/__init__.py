@@ -25,28 +25,12 @@ from .resources import (
     OutOfMemoryError,
     UsageSampler,
 )
-from .shard import (
-    DEFAULT_LOOKAHEAD,
-    ShardAPI,
-    ShardCoordinator,
-    partition_nodes,
-    run_network_sharded,
-    run_network_single,
-    run_workflow_cells,
-)
 from .storage import KeyNotFoundError, LocalMemStore, RemoteKVStore, StorageStats
 from .sync import Level, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_LOOKAHEAD",
-    "ShardAPI",
-    "ShardCoordinator",
-    "partition_nodes",
-    "run_network_sharded",
-    "run_network_single",
-    "run_workflow_cells",
     "Cluster",
     "ClusterConfig",
     "Container",

@@ -214,8 +214,11 @@ class Cluster:
         return [n.name for n in self.workers]
 
     def set_storage_bandwidth(self, bandwidth: float) -> None:
-        """Throttle the storage node's NIC (wondershaper equivalent)."""
-        self.storage_node.nic.set_bandwidth(bandwidth)
+        """Throttle the storage node's NIC (wondershaper equivalent).
+
+        Flows already in flight re-share at the new speed from now on.
+        """
+        self.network.set_nic_bandwidth(self.storage_node.nic, bandwidth)
 
     @property
     def total_data_moved(self) -> float:

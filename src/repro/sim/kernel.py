@@ -567,10 +567,8 @@ class Environment:
         exactly — no ``now + delay`` round-trip through floating point —
         so two environments that agree on ``when`` fire the event at
         bit-identical times regardless of what their local clocks read
-        when it was scheduled.  This is the injection primitive the shard
-        coordinator uses to deliver cross-shard messages with exact
-        timestamps, and the network's analytic progress mode uses for
-        completion timers.  ``when`` must not be in the past.
+        when it was scheduled.  The network schedules its flow-completion
+        timers this way.  ``when`` must not be in the past.
         """
         when = float(when)
         if when < self._now:
@@ -678,10 +676,9 @@ class Environment:
 
         Lazily-cancelled timeouts parked at the head of the queue are
         retired on the way: they would otherwise make ``peek`` report a
-        time at which nothing observable happens.  The shard
-        coordinator's conservative-window protocol depends on this — a
-        stale head would both shrink windows needlessly and, worse,
-        keep a drained shard looking busy forever.
+        time at which nothing observable happens, and make a drained
+        environment look busy forever to a caller that waits for
+        ``inf``.
         """
         queue = self._queue
         while queue:

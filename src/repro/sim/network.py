@@ -3,59 +3,42 @@
 The paper's tail-latency results (Figs. 12-14) hinge on functions
 contending for the storage node's NIC.  This module models each node's
 network interface as a pair of unidirectional links (egress / ingress)
-with finite bandwidth.  Bulk data transfers are *flows*: whenever the set
-of active flows changes, the remaining bytes of every flow are advanced
-and rates are re-allocated with the classic max-min fairness water-filling
-algorithm (each flow is bottlenecked by the most-contended link it
-crosses).
+with finite bandwidth.  Bulk data transfers are *flows*, and rates are
+allocated with the classic max-min fairness water-filling algorithm
+(each flow is bottlenecked by the most-contended link it crosses).
 
-Two structural optimizations keep the model usable at cluster scale
-(100+ nodes, thousands of concurrent flows) without changing a single
-output bit relative to flow-by-flow full water-filling:
+Three structural choices keep the model usable at cluster scale (100+
+nodes, thousands of concurrent flows):
 
 - **Flow aggregation.**  Max-min fairness gives every flow crossing the
   same (src-egress, dst-ingress) link pair the same rate at all times,
   so same-route flows collapse into one :class:`_FlowClass` with
   per-flow byte accounting.  N parallel transfers on one route cost the
   allocator O(1) instead of O(N).
-- **Incremental rebalancing.**  The allocation decomposes over connected
-  components of the class/link graph: a flow arriving or finishing can
-  only change rates inside the component its links belong to.  Each
-  rebalance recomputes just that component (found by BFS from the
-  changed links); every other class keeps its rate and its
-  remaining-bytes projection.  ``NetworkConfig(incremental=False)``
-  forces full water-filling every time — the equivalence tests assert
-  both modes produce bit-identical completion times and records.
+- **Component-local rebalancing.**  The allocation decomposes over
+  connected components of the class/link graph: a flow arriving or
+  finishing, or a NIC changing speed, can only change rates inside the
+  component its links belong to.  Each rebalance finds that component by
+  BFS from the changed links and water-fills over it alone; every other
+  class keeps its rate.
+- **Analytic progress.**  A class's flows advance their byte counters
+  only when the class's own component rebalances, at the rate it held
+  since its previous settle, and the next completion is scheduled at an
+  absolute time via :meth:`Environment.schedule_at`.  A flow's byte
+  trajectory, and so its finish time, therefore depends only on the
+  event history of its own component, never on how many unrelated
+  events the rest of the simulation happened to process.
 
 Small control messages (task assignments, state synchronization) are
 latency-dominated and bypass the fluid machinery: they cost propagation
 latency plus nominal serialization time.  The threshold separating the
 two regimes is configurable.
-
-Progress modes
---------------
-``NetworkConfig.progress`` selects how flow byte-counters advance:
-
-- ``"stepped"`` (default) — the historical behavior: every network
-  event advances *all* active flows to the current time before rates
-  change.  A flow's ``remaining`` is always current, but its value
-  depends on the global event cadence (each intermediate event splits
-  the float subtraction differently).
-- ``"analytic"`` — flows settle only at their *own* component's
-  rebalances, and completions are scheduled at absolute times via
-  :meth:`Environment.schedule_at`.  Because a class's byte trajectory
-  then depends only on the event history of its own connected
-  component, two simulations that partition disjoint components across
-  shards produce bit-identical completion times — this is the mode the
-  shard coordinator runs, and it is also faster (no per-flow global
-  advance).  The two modes agree to float tolerance but not bit-for-bit,
-  which is why stepped stays the default for the frozen-seed benches.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -74,6 +57,8 @@ _INF = float("inf")
 # Below this many active classes, skip component discovery and
 # water-fill over everything: the BFS would cost more than it saves.
 _SMALL_COMPONENT = 8
+# Delivery time of a control message a node sends to itself.
+_LOOPBACK_LATENCY = 0.00005
 
 
 class _Link:
@@ -96,25 +81,22 @@ class _Link:
 
 
 class NIC:
-    """A node's network interface: an egress link and an ingress link.
+    """A node's network interface: an egress link and an ingress link."""
 
-    A NIC with ``remote=True`` is a *proxy* for a node that lives in a
-    different simulation shard: flows targeting it are simulated on the
-    source side (local contention only) and their completion records are
-    exported through :attr:`Network.cross_outbox` for barrier delivery.
-    """
-
-    def __init__(self, name: str, bandwidth: float, remote: bool = False):
+    def __init__(self, name: str, bandwidth: float):
         if bandwidth <= 0:
             raise SimulationError(f"bandwidth must be > 0, got {bandwidth}")
         self.name = name
         self.bandwidth = float(bandwidth)
-        self.remote = remote
         self.egress = _Link(f"{name}.egress", bandwidth)
         self.ingress = _Link(f"{name}.ingress", bandwidth)
 
     def set_bandwidth(self, bandwidth: float) -> None:
-        """Reconfigure NIC speed (the paper's ``wondershaper`` sweep)."""
+        """Set the NIC's speed; flows in flight keep their current rates.
+
+        Use :meth:`Network.set_nic_bandwidth` to change the speed of a
+        NIC that may carry flows: it re-shares them at the new speed.
+        """
         if bandwidth <= 0:
             raise SimulationError(f"bandwidth must be > 0, got {bandwidth}")
         self.bandwidth = float(bandwidth)
@@ -213,10 +195,10 @@ class _FlowClass:
         # add/remove so sorting needs no per-class function call.
         self.order = 0
         self.mark = 0  # BFS visit epoch (see Network._component)
-        # Analytic-progress bookkeeping (unused in stepped mode): time of
-        # the last settle, min remaining / max finish_eps over members as
-        # of that settle, and the absolute completion time of the member
-        # that will finish first at the current rate.
+        # Progress bookkeeping: time of the last settle, min remaining /
+        # max finish_eps over members as of that settle, and the absolute
+        # completion time of the member that will finish first at the
+        # current rate.
         self.since = 0.0
         self.least = _INF
         self.eps_max = 0.0
@@ -250,18 +232,10 @@ class NetworkConfig:
     latency: float = 0.0005  # one-way propagation latency, seconds
     message_threshold: float = 64 * KB  # below this, skip the fluid model
     local_copy_rate: float = 4096 * MB  # intra-node memcpy bandwidth
-    record_transfers: bool = True
     # Capacity of ``Network.records``.  Transfers completing once it is
     # full are counted in ``Network.records_dropped`` instead of booked;
     # the byte and transfer counters stay exact either way.
     record_limit: int = 2_000_000
-    # False forces full water-filling over every class at each flow
-    # event — the reference the incremental allocator is tested against.
-    incremental: bool = True
-    # "stepped" or "analytic" — see the module docstring.  Sharded runs
-    # require "analytic" (cadence-independent byte trajectories).
-    progress: str = "stepped"
-    extra: dict = field(default_factory=dict)
 
 
 class Network:
@@ -270,12 +244,6 @@ class Network:
     def __init__(self, env: Environment, config: Optional[NetworkConfig] = None):
         self.env = env
         self.config = config or NetworkConfig()
-        if self.config.progress not in ("stepped", "analytic"):
-            raise SimulationError(
-                f"unknown progress mode {self.config.progress!r} "
-                "(expected 'stepped' or 'analytic')"
-            )
-        self._analytic = self.config.progress == "analytic"
         self._nics: dict[str, NIC] = {}
         # dict-as-ordered-set: iteration order (and with it the fair-share
         # float accumulation order) is start-order of the flows, identical
@@ -284,16 +252,11 @@ class Network:
         self._flows: dict[Flow, None] = {}
         self._classes: dict[tuple[_Link, _Link], _FlowClass] = {}
         self._flow_ids = itertools.count(1)
-        self._last_advance = env.now
         self._timer: Optional[Timeout] = None
         self._mark = 0  # BFS epoch for _component visited-stamps
         # Recycled _FlowClass shells: route churn (a class per short
         # transfer burst) otherwise allocates one object per flow.
         self._class_pool: list[_FlowClass] = []
-        # Classes are created with ascending ``order``, so _classes
-        # iterates in allocation order until a class outlives its oldest
-        # flow; this flag records when that sortedness breaks.
-        self._order_sorted = True
         # Columnar: booking a transfer creates no per-transfer object;
         # reading yields TransferRecords built on access.
         self.records = Ledger(TransferRecord, floats=("started_at", "finished_at"))
@@ -305,12 +268,6 @@ class Network:
         self.nonlocal_bytes = 0.0
         self.message_count = 0
         self.flow_count = 0
-        # Completed transfers whose destination NIC is a remote proxy:
-        # the shard coordinator drains these at each barrier and applies
-        # them on the owning shard via ingest_remote().
-        self.cross_outbox: list[TransferRecord] = []
-        self.remote_ingest_count = 0
-        self.remote_ingest_bytes = 0.0
         self.spans = NULL_SPANS
         self.telemetry = NULL_TELEMETRY
 
@@ -322,33 +279,6 @@ class Network:
         nic = NIC(name, bandwidth)
         self._nics[name] = nic
         return nic
-
-    def attach_remote(self, name: str, bandwidth: float) -> NIC:
-        """Register a proxy NIC for a node simulated in another shard.
-
-        Transfers into it run the normal fluid model against the proxy's
-        ingress capacity (i.e. the source shard sees its own contention
-        for the remote NIC, but not other shards'), and completion
-        records are exported via :attr:`cross_outbox`.
-        """
-        if name in self._nics:
-            raise SimulationError(f"NIC {name!r} already attached")
-        nic = NIC(name, bandwidth, remote=True)
-        self._nics[name] = nic
-        return nic
-
-    def ingest_remote(self, record: TransferRecord) -> None:
-        """Apply the accounting of a transfer simulated in another shard.
-
-        Only the destination-side ingress byte counter is touched — the
-        owning (source) shard already accounted the transfer in its own
-        totals, records, and pair counters, so merged metrics count each
-        transfer exactly once.
-        """
-        nic = self._nics[record.dst]
-        nic.ingress.bytes_carried += record.size
-        self.remote_ingest_count += 1
-        self.remote_ingest_bytes += record.size
 
     def nic(self, name: str) -> NIC:
         return self._nics[name]
@@ -383,8 +313,6 @@ class Network:
                 done, duration, src, dst, size, started, "message", tag
             )
             return done
-        if not self._analytic:
-            self._advance()
         flow = Flow(next(self._flow_ids), src, dst, size, done, started, tag)
         self._flows[flow] = None
         links = flow.links
@@ -397,23 +325,19 @@ class Network:
             else:
                 fclass = _FlowClass(links)
             fclass.order = flow.flow_id
-            if self._analytic:
-                fclass.since = started
-                fclass.finish_at = _INF
+            fclass.since = started
+            fclass.finish_at = _INF
             self._classes[links] = fclass
             for link in links:
                 link.classes[fclass] = None
-        elif self._analytic:
+        else:
             # Existing members advance at the pre-arrival rate before the
             # newcomer joins; the rebalance below re-settles with dt=0.
             self._settle_class(fclass, started)
         fclass.flows[flow] = None
         flow.fclass = fclass
         self.flow_count += 1
-        if self._analytic:
-            self._rebalance_analytic(links)
-        else:
-            self._rebalance(links)
+        self._rebalance(links)
         return done
 
     def message(self, src: NIC, dst: NIC, size: float = 1 * KB, tag: str = "") -> Event:
@@ -422,7 +346,7 @@ class Network:
             raise SimulationError(f"negative message size {size}")
         started = self.env.now
         if src is dst:
-            duration = self.config.extra.get("loopback_latency", 0.00005)
+            duration = _LOOPBACK_LATENCY
         else:
             duration = self.config.latency + size / min(src.bandwidth, dst.bandwidth)
         self.message_count += 1
@@ -474,11 +398,7 @@ class Network:
         except KeyError:
             pair_bytes[pair] = size
         if self.telemetry.enabled:
-            # Labeled by the owning source node so sharded telemetry
-            # merges as a disjoint union of label-sets: byte sizes are
-            # integer-valued, so these counters are exact and
-            # order-independent — merged sharded values equal the
-            # single-process run's bit for bit.
+            # Labeled by the sending node, which owns the transfer.
             self.telemetry.inc("net.bytes", size, node=src.name, kind=kind)
             self.telemetry.inc("net.transfers", 1.0, node=src.name, kind=kind)
         if self.spans.enabled:
@@ -502,16 +422,12 @@ class Network:
                 tag=tag,
                 slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
             )
-        finished = self.env.now
-        if self.config.record_transfers:
-            if len(self.records) < self.config.record_limit:
-                self.records.add(src.name, dst.name, size, started, finished, kind, tag)
-            else:
-                self.records_dropped += 1
-        if dst.remote:
-            self.cross_outbox.append(
-                TransferRecord(src.name, dst.name, size, started, finished, kind, tag)
+        if len(self.records) < self.config.record_limit:
+            self.records.add(
+                src.name, dst.name, size, started, self.env.now, kind, tag
             )
+        else:
+            self.records_dropped += 1
 
     def set_nic_bandwidth(self, nic: NIC, bandwidth: float) -> None:
         """Reconfigure a NIC mid-run; active flows re-share immediately.
@@ -521,34 +437,8 @@ class Network:
         re-runs water-filling over the affected component, which is what
         a transient degradation window needs.
         """
-        if self._analytic:
-            nic.set_bandwidth(bandwidth)
-            self._rebalance_analytic((nic.egress, nic.ingress))
-            return
-        self._advance()
         nic.set_bandwidth(bandwidth)
         self._rebalance((nic.egress, nic.ingress))
-
-    def _advance(self) -> None:
-        """Progress all active flows up to the current time."""
-        dt = self.env.now - self._last_advance
-        self._last_advance = self.env.now
-        if dt <= 0:
-            return
-        for fclass in self._classes.values():
-            rate = fclass.rate
-            if rate <= 0.0:
-                continue  # remaining - 0.0 is exact: skipping changes nothing
-            shift = rate * dt
-            for flow in fclass.flows:
-                # Same value as max(0.0, remaining - shift), minus the call.
-                left = flow.remaining - shift
-                flow.remaining = left if left > 0.0 else 0.0
-
-    def _rebalance(self, changed: Iterable[_Link]) -> None:
-        """Re-run water-filling where ``changed`` links can matter, re-arm."""
-        self._allocate_rates(changed)
-        self._arm_timer()
 
     def _component(self, seeds: Iterable[_Link]) -> list[_FlowClass]:
         """Classes in the connected component(s) of the seed links.
@@ -580,10 +470,11 @@ class Network:
                         pending.append(other)
         return out
 
-    def _allocate_rates(self, changed: Iterable[_Link]) -> None:
-        """Max-min fair water-filling over the affected classes.
+    def _allocate_over(self, component: list[_FlowClass]) -> None:
+        """Max-min fair water-filling over ``component``.
 
-        Bit-for-bit equal to per-flow water-filling over all flows:
+        Bit-for-bit equal to per-flow water-filling over the
+        component's flows:
 
         - The allocation order (classes by oldest-flow id) reproduces
           the link first-encounter order of the per-flow loop, so the
@@ -597,23 +488,6 @@ class Network:
           of filtering all unfrozen classes) reorders nothing that
           float accumulation can observe.
         """
-        classes = self._classes
-        if not classes:
-            return
-        if self.config.incremental and len(classes) > _SMALL_COMPONENT:
-            component = self._component(changed)
-            from_bfs = True
-        else:
-            # Tiny working sets: component discovery costs more than it
-            # saves, and allocating over every class gives the same
-            # result (that is the component-independence invariant the
-            # incremental mode is built on).
-            component = list(classes.values())
-            from_bfs = False
-        self._allocate_over(component, from_bfs)
-
-    def _allocate_over(self, component: list[_FlowClass], from_bfs: bool) -> None:
-        """Water-fill over an already-discovered set of classes."""
         if not component:
             return
         if len(component) == 1:
@@ -629,16 +503,7 @@ class Network:
                 share = other
             fclass.rate = share
             return
-        if from_bfs:
-            # BFS emits classes in traversal order.
-            component.sort(key=_CLASS_ORDER)
-        elif not self._order_sorted:
-            # Dict order drifted (a class outlived its oldest flow):
-            # sort once and rebuild the registry in allocation order so
-            # subsequent full passes skip the sort again.
-            component.sort(key=_CLASS_ORDER)
-            self._classes = {c.links: c for c in component}
-            self._order_sorted = True
+        component.sort(key=_CLASS_ORDER)
         link_spare: dict[_Link, float] = {}
         link_count: dict[_Link, int] = {}
         for fclass in component:
@@ -733,46 +598,10 @@ class Network:
                 dead += 1
                 link_count[bottleneck] = 0
 
-    def _arm_timer(self) -> None:
-        """Schedule a wake-up at the earliest flow completion."""
-        timer = self._timer
-        if timer is not None:
-            # Superseded: drop it from ever running instead of letting a
-            # stale heap entry fire into a version check.
-            timer.cancel()
-            self._timer = None
-        soonest = _INF
-        for fclass in self._classes.values():
-            rate = fclass.rate
-            if rate > _EPS:
-                least = _INF
-                for flow in fclass.flows:
-                    remaining = flow.remaining
-                    if remaining < least:
-                        least = remaining
-                # Division is monotonic, so min(remaining)/rate equals
-                # min(remaining/rate) bit-for-bit: one divide per class.
-                time_left = least / rate
-                if time_left < soonest:
-                    soonest = time_left
-        if soonest == _INF:
-            return
-        timer = self.env.timeout(max(0.0, soonest))
-        timer.callbacks.append(self._on_timer)
-        self._timer = timer
-
-    def _on_timer(self, _: Event) -> None:
-        self._timer = None
-        self._advance()
-        finished = [f for f in self._flows if f.remaining <= f.finish_eps]
-        changed = self._retire_finished(finished)
-        self._rebalance(changed)
-
     def _retire_finished(self, finished: list[Flow]) -> Iterable[_Link]:
         """Remove completed flows, record them, fire their tail timers.
 
-        Returns the links whose components need rebalancing.  Shared by
-        the stepped and analytic completion paths.
+        Returns the links whose components need rebalancing.
         """
         for flow in finished:
             self._flows.pop(flow, None)
@@ -789,7 +618,6 @@ class Network:
                         self._class_pool.append(fclass)
                 else:
                     fclass.order = next(iter(fclass.flows)).flow_id
-                    self._order_sorted = False
             self._record(
                 flow.src,
                 flow.dst,
@@ -810,15 +638,14 @@ class Network:
                 touched[link] = None
         return tuple(touched)
 
-    # -- analytic progress mode ------------------------------------------
+    # -- flow progress -----------------------------------------------------
     def _settle_class(self, fclass: _FlowClass, now: float) -> None:
         """Advance one class's members to ``now`` at the current rate.
 
         Also refreshes the class's cached min-remaining / max-eps, which
         must track membership changes even when no time has passed.
         Every float here depends only on the class's own event history,
-        never on when *other* components happened to have events — that
-        is the property that makes sharded runs bit-identical.
+        never on when *other* components happened to have events.
         """
         dt = now - fclass.since
         rate = fclass.rate
@@ -845,29 +672,28 @@ class Network:
         fclass.least = least
         fclass.eps_max = eps_max
 
-    def _rebalance_analytic(self, changed: Iterable[_Link]) -> None:
+    def _rebalance(self, changed: Iterable[_Link]) -> None:
         """Settle + water-fill the affected component, re-arm the timer.
 
-        Unlike the stepped path this always uses exact component
-        discovery (never the whole-registry shortcut): settling a class
-        at another component's event time would re-partition its float
-        subtractions and break shard/single equivalence.
+        Always the exact component, never the whole registry: settling a
+        class at another component's event time would re-partition its
+        float subtractions and tie its finish time to unrelated traffic.
         """
         component = self._component(changed)
         if component:
             now = self.env.now
             for fclass in component:
                 self._settle_class(fclass, now)
-            self._allocate_over(component, True)
+            self._allocate_over(component)
             for fclass in component:
                 rate = fclass.rate
                 if rate > _EPS:
                     fclass.finish_at = now + fclass.least / rate
                 else:
                     fclass.finish_at = _INF
-        self._arm_timer_analytic()
+        self._arm_timer()
 
-    def _arm_timer_analytic(self) -> None:
+    def _arm_timer(self) -> None:
         """Re-arm the completion wake-up at the earliest ``finish_at``.
 
         The timer is scheduled at an *absolute* time, so the fire time
@@ -886,10 +712,10 @@ class Network:
             return
         now = self.env.now
         timer = self.env.schedule_at(soonest if soonest > now else now)
-        timer.callbacks.append(self._on_timer_analytic)
+        timer.callbacks.append(self._on_timer)
         self._timer = timer
 
-    def _on_timer_analytic(self, _: Event) -> None:
+    def _on_timer(self, _: Event) -> None:
         self._timer = None
         now = self.env.now
         finished: list[Flow] = []
@@ -905,7 +731,7 @@ class Network:
                     if flow.remaining <= flow.finish_eps:
                         finished.append(flow)
         changed = self._retire_finished(finished)
-        self._rebalance_analytic(changed)
+        self._rebalance(changed)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -920,7 +746,7 @@ class Network:
     def bytes_between(self, src: str, dst: str) -> float:
         """Total bytes moved from node ``src`` to node ``dst``.
 
-        Backed by an incremental per-pair counter updated as transfers
+        Backed by a running per-pair counter updated as transfers
         complete, so it stays exact past ``record_limit`` — the
         ``records`` ledger is a capped debugging aid, not the
         accounting source.

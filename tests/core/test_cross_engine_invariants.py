@@ -5,7 +5,8 @@ loop vs serialized worker loop vs parallel token handlers — but they
 must agree on *what* happened: the same functions execute exactly once,
 the FaaStore ends every run drained, the latency decomposition sums
 exactly, and every one of those facts is bit-identical across repeated
-runs and shard counts.
+runs (``tests/test_trial_identity.py`` covers any number of worker
+processes).
 """
 
 import pytest
@@ -124,24 +125,3 @@ class TestDeterminism:
             ]
 
         assert fingerprint() == fingerprint()
-
-    def test_dataflow_cells_bit_identical_across_shard_counts(self):
-        """The --shards path must not perturb DataflowSP runs: the same
-        cells on 1 and 2 shard workers return identical records."""
-        from repro.sim.shard import make_workflow_cell, run_workflow_cells
-
-        cells = [
-            make_workflow_cell(
-                "cycles",
-                engine="dataflow",
-                seed=seed,
-                invocations=2,
-                workers=3,
-                feedback=False,
-            )
-            for seed in (7, 8)
-        ]
-        serial = run_workflow_cells(cells, shards=1)
-        sharded = run_workflow_cells(cells, shards=2)
-        assert serial == sharded
-        assert all(out["completed"] == out["invocations"] for out in serial)

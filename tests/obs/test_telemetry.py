@@ -1,7 +1,7 @@
 """Unit tests for the streaming telemetry registry and its sketches.
 
 The mergeability contract is the load-bearing property: merging
-per-shard snapshots must reproduce the single-process instruments
+per-trial snapshots must reproduce the combined instruments
 exactly (integer bucket counts) or to float-addition identity (sums
 merged in a deterministic order).  ``NullRegistry`` mirrors
 ``NullSpanTracer``: producers keep a reference unconditionally and pay
@@ -207,9 +207,9 @@ class TestRegistry:
         assert names == sorted(names)
 
     def test_snapshot_merge_identity(self):
-        # The sharded contract: per-cell registries replay the same
+        # The multi-trial contract: per-trial registries replay the same
         # float additions no matter which worker runs them, so merging
-        # cell snapshots in cell order is bit-identical for any layout.
+        # trial snapshots in trial order is bit-identical for any --jobs.
         def load(reg, offset):
             for i in range(10):
                 reg.observe("lat", 0.1 * (i + offset), wf="x")

@@ -50,6 +50,19 @@ class TestStorageBandwidth:
         cluster.set_storage_bandwidth(75 * MB)
         assert cluster.storage_node.nic.bandwidth == 75 * MB
 
+    def test_throttle_slows_flows_in_flight(self, env):
+        cluster = Cluster(env, ClusterConfig(storage_bandwidth=10 * MB))
+        network = cluster.network
+        worker = cluster.workers[0]
+        done = network.transfer(worker.nic, cluster.storage_node.nic, 30 * MB)
+        env.schedule_at(1.0).callbacks.append(
+            lambda _event: cluster.set_storage_bandwidth(5 * MB)
+        )
+        env.run(until=done)
+        (record,) = network.records
+        # 10 MB in the first second at 10 MB/s, the other 20 MB at 5 MB/s.
+        assert record.finished_at == pytest.approx(5.0, rel=1e-9)
+
     def test_remote_store_behind_storage_nic(self, env):
         cluster = Cluster(env, ClusterConfig(storage_bandwidth=10 * MB))
         worker = cluster.workers[0]

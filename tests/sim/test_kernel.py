@@ -318,6 +318,24 @@ class TestConditions:
         assert env.run(until=p) == 1.0
 
 
+class TestScheduleAt:
+    def test_fires_at_exact_time(self, env):
+        fired = []
+        event = env.schedule_at(1.25, value="x")
+        event.callbacks.append(lambda e: fired.append((env.now, e._value)))
+        env.run()
+        assert fired == [(1.25, "x")]
+
+    def test_past_time_raises(self, env):
+        env.run(until=2.0)
+        with pytest.raises(SimulationError):
+            env.schedule_at(1.0)
+
+    def test_peek_sees_scheduled_time(self, env):
+        env.schedule_at(3.5)
+        assert env.peek() == 3.5
+
+
 class TestRunUntilEvent:
     def test_run_until_event_returns_value(self, env):
         t = env.timeout(2.0, "done")
@@ -376,8 +394,8 @@ class TestDeterminism:
     )
     def test_same_timestamp_events_fire_in_eid_order(self, times, at_mask):
         # Duplicate roughly half the times so ties are common, and mix
-        # relative (timeout) with absolute (schedule_at, the cross-shard
-        # injection primitive) scheduling.
+        # relative (timeout) with absolute (schedule_at, the network's
+        # completion-timer primitive) scheduling.
         times = times + times[: len(times) // 2]
         env = Environment()
         fired = []
@@ -392,9 +410,9 @@ class TestDeterminism:
         assert fired == sorted(range(len(times)), key=lambda t: (times[t], t))
 
     def test_schedule_at_cross_shard_style_injection(self, env):
-        """Events injected at exact absolute timestamps (the barrier
-        protocol's delivery primitive) interleave correctly with local
-        timers scheduled before and after them."""
+        """Events injected at exact absolute timestamps interleave
+        correctly with relative timers scheduled before and after
+        them."""
         fired = []
         env.timeout(2.0).callbacks.append(lambda _e: fired.append("local-2"))
         env.schedule_at(1.5).callbacks.append(lambda _e: fired.append("inj-1.5"))

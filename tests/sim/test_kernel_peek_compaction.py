@@ -2,10 +2,9 @@
 
 ``Timeout.cancel()`` drops timers lazily (the heap entry stays until it
 surfaces or compaction sweeps it), which used to let ``peek()`` report a
-time that would never fire.  That is fatal for the shard barrier
-protocol: the coordinator sizes conservative windows from each shard's
-``peek()``, and termination detection treats ``peek() == inf`` as
-"drained".  These tests pin the repaired contract, plus the
+time that would never fire.  A caller that plans ahead from ``peek()``,
+or treats ``peek() == inf`` as "drained", would then wait on nothing.
+These tests pin the repaired contract, plus the
 compaction threshold (``kernel._COMPACTION_THRESHOLD``, patched down
 where a test needs a small one) and its behavior under container
 keep-alive churn (the workload that generates cancelled timers by the

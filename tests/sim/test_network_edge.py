@@ -8,11 +8,10 @@ from repro.sim.kernel import Environment
 from repro.sim.network import KB, MB, Network, NetworkConfig
 
 
-def make_net(latency=0.0, threshold=0.0, **extra):
+def make_net(latency=0.0, threshold=0.0):
     env = Environment()
     net = Network(
-        env,
-        NetworkConfig(latency=latency, message_threshold=threshold, **extra),
+        env, NetworkConfig(latency=latency, message_threshold=threshold)
     )
     return env, net
 
@@ -49,7 +48,7 @@ class TestBandwidthReconfiguration:
 
 class TestRecordLimits:
     def test_record_limit_caps_ledger(self):
-        env, net = make_net(extra={})
+        env, net = make_net()
         net.config.record_limit = 5
         a = net.attach("a", 100 * MB)
         b = net.attach("b", 100 * MB)
@@ -59,17 +58,8 @@ class TestRecordLimits:
         # Counters keep going even when the ledger is full.
         assert net.total_bytes == pytest.approx(10 * MB)
 
-    def test_record_transfers_disabled(self):
-        env, net = make_net()
-        net.config.record_transfers = False
-        a = net.attach("a", 100 * MB)
-        b = net.attach("b", 100 * MB)
-        env.run(until=net.transfer(a, b, 1 * MB))
-        assert net.records == []
-        assert net.total_bytes == pytest.approx(1 * MB)
-
     def test_records_dropped_counts_past_the_limit(self):
-        env, net = make_net(extra={})
+        env, net = make_net()
         net.config.record_limit = 2
         a = net.attach("a", 100 * MB)
         b = net.attach("b", 100 * MB)
@@ -77,10 +67,6 @@ class TestRecordLimits:
             env.run(until=net.transfer(a, b, 1 * KB))
             assert net.records_dropped == max(0, count - 2)
         assert len(net.records) == 2
-        net.config.record_transfers = False
-        env.run(until=net.transfer(a, b, 1 * KB))
-        # Disabled recording books nothing and drops nothing.
-        assert net.records_dropped == 3
 
 
 class TestManyFlows:

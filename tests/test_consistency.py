@@ -22,9 +22,9 @@ from repro.sim import (
     ContainerSpec,
     Environment,
     MB,
-    NetworkConfig,
 )
 from repro.workloads import build
+from tests.sim.test_network_fairness import install_water_filling_check
 
 
 def fresh_cluster(workers=3, bandwidth=50 * MB):
@@ -119,7 +119,10 @@ class TestDeterminism:
     def test_whole_runs_are_bit_identical(self):
         assert self._run_once() == self._run_once()
 
-    def _run_system(self, incremental):
+    def test_component_local_rates_match_full_water_filling(self):
+        """Component-local rebalancing is an optimization, not a model
+        change: through a whole system run, every rebalance leaves each
+        flow class at the rate water-filling over all classes gives."""
         env = Environment()
         cluster = Cluster(
             env,
@@ -127,25 +130,18 @@ class TestDeterminism:
                 workers=3,
                 storage_bandwidth=50 * MB,
                 container=ContainerSpec(cold_start_time=0.1),
-                network=NetworkConfig(incremental=incremental),
             ),
         )
+        checked = install_water_filling_check(cluster.network)
         system = FaaSFlowSystem(cluster, EngineConfig())
         scheduler = GraphScheduler(cluster, seed=3)
         dag = build("file-processing")
         placement, quotas, _ = scheduler.schedule(dag)
         system.deploy(dag, placement, quotas=quotas)
         records = run_closed_loop(system, "file-processing", 4)
-        return (
-            [(r.started_at, r.finished_at, r.latency) for r in records],
-            cluster.network.total_bytes,
-            cluster.total_data_moved,
-        )
-
-    def test_incremental_network_matches_full_recompute(self):
-        """Component-local rebalancing is an optimization, not a model
-        change: a whole system run must be bit-identical either way."""
-        assert self._run_system(True) == self._run_system(False)
+        assert all(r.status == "ok" for r in records)
+        assert checked[0] > 0
+        assert cluster.network.flow_count > 0
 
     def test_scheduler_seed_changes_bootstrap_only_randomness(self):
         cluster_a = fresh_cluster()

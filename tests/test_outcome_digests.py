@@ -17,8 +17,8 @@ from perfbench.workloads import WORKLOADS
 
 DIGESTS = {
     "serve-ctl": "2f12b39d92376b9a4c971f599aab0e40ca2d8d0d1fb9af80a34721eda1eb2751",
-    "sci-faastore": "bd74f77c3be1039797b53eb62d250c23a0ca327ffc421eadc71f1dd0ba205ce5",
-    "sci-dataflow": "4fc7c8fd3b835e9e05caaf6b809d1b0e964a52944fb7e663de9158171ce9dbd2",
+    "sci-faastore": "c4ed4b17f786b5e46f91363d8f8181cebb8730188252f2b04e09536ceca0ca9c",
+    "sci-dataflow": "e1ffce2a1a298e41d0f734d9f2d3124af7b13083967f2243ee1e943ead3bb244",
 }
 
 
