@@ -10,7 +10,8 @@ departure sequences, with and without NIC speed changes mid-run:
 2. Incremental equivalence — the network only ever water-fills the
    connected component a change touched.  After every rebalance each
    class's rate must equal, bit for bit, what water-filling over *all*
-   classes gives (:func:`install_water_filling_check`).
+   classes gives (:func:`install_water_filling_check`), and a run so
+   checked ends with the same records and makespan as a plain one.
 """
 
 import random
@@ -140,6 +141,26 @@ class TestMaxMinProperties:
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 91, 137])
 class TestIncrementalEquivalence:
+    def test_records_and_makespan_bit_identical(self, seed):
+        """A run checked against full water-filling at every rebalance
+        ends with the records and makespan of a plain run, bit for bit."""
+        env_checked, net_checked = _build(seed, nodes=24, flows=120)
+        install_water_filling_check(net_checked)
+        env_plain, net_plain = _build(seed, nodes=24, flows=120)
+        env_checked.run()
+        env_plain.run()
+        assert env_checked.now == env_plain.now
+        rec_checked = [
+            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind)
+            for r in net_checked.records
+        ]
+        rec_plain = [
+            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind)
+            for r in net_plain.records
+        ]
+        assert len(rec_plain) == 120
+        assert rec_checked == rec_plain
+
     def test_mid_run_rates_bit_identical(self, seed):
         env, net = _build(seed, nodes=24, flows=120)
         checked = install_water_filling_check(net)
