@@ -43,7 +43,7 @@ from repro.core.faults import (
     ProcessRegistry,
     TaskCancelled,
 )
-from .runtime import FunctionRuntime
+from .runtime import TELEMETRY_OFF, FunctionRuntime
 from repro.core.switching import is_skipped
 from .state import (
     InvocationID,
@@ -96,7 +96,7 @@ class HyperFlowServerlessSystem:
         self.config = config or EngineConfig()
         self.tracer = tracer
         self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
+        self.telemetry = TELEMETRY_OFF
         self.metrics = metrics if metrics is not None else MetricsCollector()
         if self.spans.enabled:
             self.metrics.spans = self.spans

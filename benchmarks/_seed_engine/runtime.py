@@ -45,6 +45,16 @@ from repro.core.faults import (
 )
 from .state import InvocationID, Placement
 
+
+class _TelemetryOff:
+    """Stands in for the registry the cluster no longer carries: the
+    A/B runs of this frozen copy always ran with telemetry off."""
+
+    enabled = False
+
+
+TELEMETRY_OFF = _TelemetryOff()
+
 __all__ = ["FunctionRuntime", "ExecutionResult"]
 
 
@@ -83,7 +93,7 @@ class FunctionRuntime:
         self.retry_policy = RetryPolicy.from_config(config)
         self.env = cluster.env
         self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
+        self.telemetry = TELEMETRY_OFF
         self._jitter_rng = (
             random.Random(config.jitter_seed)
             if config.service_time_jitter > 0

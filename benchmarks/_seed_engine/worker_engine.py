@@ -43,7 +43,7 @@ from repro.core.faults import (
     TaskCancelled,
 )
 from .master_engine import static_critical_exec
-from .runtime import FunctionRuntime
+from .runtime import TELEMETRY_OFF, FunctionRuntime
 from repro.core.switching import is_skipped
 from .state import (
     InvocationID,
@@ -494,7 +494,7 @@ class FaaSFlowSystem:
         self.config = config or EngineConfig()
         self.tracer = tracer
         self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
+        self.telemetry = TELEMETRY_OFF
         self.metrics = metrics if metrics is not None else MetricsCollector()
         if self.spans.enabled:
             self.metrics.spans = self.spans

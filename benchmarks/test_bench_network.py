@@ -42,6 +42,11 @@ _FINISH_REL_TOL = 1e-12
 # must hold this geometric-mean speedup; every 8-node point must not
 # regress below 1.0x.
 _TARGET_HIGH_GEOMEAN = 3.0
+# A drive shorter than this is dominated by scheduler noise (the 8-node,
+# 10-flow cell takes about 0.3 ms): such cells are timed in batches of
+# repeated drives, so that every timing sample covers at least this much
+# measured wall clock.
+_MIN_SAMPLE_SECONDS = 0.010
 _CELLS = [
     (8, 10),
     (8, 100),
@@ -98,8 +103,19 @@ def _max_finish_rel_diff(reference: list, candidate: list) -> float:
     return worst
 
 
+def _sample(module, nodes: int, flows: int, batch: int) -> float:
+    """Mean wall clock of one drive over ``batch`` repeated drives."""
+    total = 0.0
+    for _ in range(batch):
+        total += drive_network(module, nodes, flows)["wall_seconds"]
+    return total / batch
+
+
 def _measure(cells, rounds: int = _ROUNDS):
     """Per-cell best-of-``rounds`` wall clock, interleaved A/B.
+
+    A sample of a cell shorter than ``_MIN_SAMPLE_SECONDS`` is the mean
+    of a batch of repeated drives that together last that long.
 
     Round one of every cell also collects transfer records from both
     modules and checks them with :func:`_max_finish_rel_diff` — the
@@ -116,21 +132,18 @@ def _measure(cells, rounds: int = _ROUNDS):
         )
         seed_wall = float("inf")
         new_wall = float("inf")
-        # Sub-10ms cells are scheduler-noise dominated: give them enough
-        # rounds that min-of-rounds converges to the true cost.
-        if reference["wall_seconds"] < 0.010:
-            cell_rounds = max(rounds, 25)
-        elif reference["wall_seconds"] < 0.100:
+        batch = max(
+            1, math.ceil(_MIN_SAMPLE_SECONDS / reference["wall_seconds"])
+        )
+        # Short cells also get more rounds, so that min-of-rounds
+        # converges to the true cost.
+        if reference["wall_seconds"] < 0.100:
             cell_rounds = max(rounds, 8)
         else:
             cell_rounds = rounds
         for _ in range(cell_rounds):
-            seed_wall = min(
-                seed_wall, drive_network(seed_mod, nodes, flows)["wall_seconds"]
-            )
-            new_wall = min(
-                new_wall, drive_network(new_network, nodes, flows)["wall_seconds"]
-            )
+            seed_wall = min(seed_wall, _sample(seed_mod, nodes, flows, batch))
+            new_wall = min(new_wall, _sample(new_network, nodes, flows, batch))
         events = reference["events"]
         results.append(
             {
@@ -141,6 +154,7 @@ def _measure(cells, rounds: int = _ROUNDS):
                 "optimized_wall_seconds": round(new_wall, 6),
                 "seed_events_per_sec": round(events / seed_wall),
                 "optimized_events_per_sec": round(events / new_wall),
+                "drives_per_sample": batch,
                 "speedup": round(seed_wall / new_wall, 3),
                 "high_contention": _is_high_contention(nodes, flows),
                 "max_finish_rel_diff": max_diff,

@@ -1,14 +1,14 @@
-"""Telemetry-overhead A/B bench: instrumented engines vs NullRegistry.
+"""Telemetry-overhead A/B bench: instrumented engines vs uninstrumented.
 
 Runs the same engine workload (a spread of benchmark workflows on both
 engine modes, each as ``run_trials`` trials) twice over:
 
-- **off** — the default ``NULL_TELEMETRY`` path: every producer holds
-  the null registry and pays one ``enabled`` attribute check per
-  would-be emit;
-- **on** — ``collect_telemetry=True``: a ``MetricsRegistry`` on the
-  simulated clock receives every engine/runtime/faastore/network/
-  container emit and each trial ships a full snapshot.
+- **off** — the default ``NULL_SPANS`` path: every producer holds the
+  null span tracer and pays one ``enabled`` attribute check per site;
+- **on** — ``collect_telemetry=True``: a span tracer whose only sink is
+  a ``MetricsRegistry`` on the simulated clock folds every span the
+  engines, runtime, FaaStore, network and containers report, and each
+  trial ships a full snapshot.
 
 The headline number is the instrumented-over-off wall-clock ratio
 (best-of rounds on both sides); CI gates on ``overhead_ratio`` staying
@@ -133,10 +133,11 @@ def main(argv=None) -> int:
     payload = {
         "bench": "engine wall clock with streaming telemetry on vs off "
         f"(best of {rounds} round(s) per side)",
-        "baseline": "NULL_TELEMETRY zero-cost-off path (one enabled-check "
-        "per would-be emit)",
-        "instrumented": "MetricsRegistry on the simulated clock: engines, "
-        "runtime, faastore, network, and containers all emitting",
+        "baseline": "NULL_SPANS zero-cost-off path (one enabled-check "
+        "per instrumented site)",
+        "instrumented": "telemetry-only span tracer: a MetricsRegistry on "
+        "the simulated clock folds the spans of the engines, runtime, "
+        "faastore, network, and containers",
         "workload": "run_trials over file-processing/cycles/"
         "video-ffmpeg/genome, both engine modes",
         "invariant": "per-trial snapshots from jobs=2, merged in trial "

@@ -139,21 +139,6 @@ class DataPolicy:
         self.metrics.transfers.add(
             dag.name, invocation_id, producer, consumer, size, duration, phase, local
         )
-        telemetry = self.cluster.telemetry
-        if telemetry.enabled:
-            locality = "local" if local else "remote"
-            telemetry.inc(
-                "data.bytes", size,
-                workflow=dag.name, node=node, phase=phase, local=locality,
-            )
-            telemetry.inc(
-                "data.ops", 1.0,
-                workflow=dag.name, node=node, phase=phase, local=locality,
-            )
-            telemetry.observe(
-                "data.seconds", duration,
-                workflow=dag.name, node=node, phase=phase, local=locality,
-            )
         spans = self.cluster.spans
         if spans.enabled:
             # The acting function (producer for puts, consumer for
@@ -167,6 +152,7 @@ class DataPolicy:
                 function=actor,
                 node=node,
                 parent=spans.context_of(invocation_id, actor),
+                value=duration,
                 producer=producer,
                 size=size,
                 local=local,
@@ -424,20 +410,6 @@ class FaaStorePolicy(DataPolicy):
         self.metrics.transfers.add(
             dag.name, invocation_id, producer, "", size, duration, "push", False
         )
-        telemetry = self.cluster.telemetry
-        if telemetry.enabled:
-            telemetry.inc(
-                "data.bytes", size,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
-            telemetry.inc(
-                "data.ops", 1.0,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
-            telemetry.observe(
-                "data.seconds", duration,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
         spans = self.cluster.spans
         if spans.enabled:
             # Producer function spans have usually ended by push time
@@ -454,6 +426,7 @@ class FaaStorePolicy(DataPolicy):
                 function=producer,
                 node=node,
                 parent=parent,
+                value=duration,
                 producer=producer,
                 size=size,
                 local=False,
@@ -462,11 +435,6 @@ class FaaStorePolicy(DataPolicy):
 
     def _spill(self, dag, invocation_id, function, node, size, phase) -> None:
         """Note a quota overflow: the local store refused the object."""
-        if self.cluster.telemetry.enabled:
-            self.cluster.telemetry.inc(
-                "data.spills", 1.0,
-                workflow=dag.name, node=node.name, phase=phase,
-            )
         spans = self.cluster.spans
         if spans.enabled:
             spans.event(

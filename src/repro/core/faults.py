@@ -427,7 +427,7 @@ class FaultDriver:
         if not node.up:
             return  # overlapping crash windows: already down
         spans = self.cluster.spans
-        if spans.enabled:
+        if spans.retain:
             spans.event(
                 SpanKind.FAULT, node=crash.node, fault="node-crash",
                 recovery=crash.recovery,
@@ -438,7 +438,7 @@ class FaultDriver:
         self.node_crashes_fired += 1
         yield self.env.timeout(crash.recovery)
         node.recover()
-        if spans.enabled:
+        if spans.retain:
             spans.event(SpanKind.FAULT, node=crash.node, fault="node-recovery")
         for system in self.systems:
             system.on_node_recovery(crash.node)
@@ -451,7 +451,7 @@ class FaultDriver:
             nodes = [*self.cluster.workers, self.cluster.storage_node]
         spans = self.cluster.spans
         for node in nodes:
-            if spans.enabled:
+            if spans.retain:
                 spans.event(
                     SpanKind.FAULT, node=node.name, fault="net-degrade",
                     factor=window.factor, duration=window.duration,
@@ -466,7 +466,7 @@ class FaultDriver:
         for node in nodes:
             self._degraded[node.name][1].remove(window.factor)
             self._apply_factors(node)
-            if spans.enabled:
+            if spans.retain:
                 spans.event(SpanKind.FAULT, node=node.name, fault="net-restore")
 
     def _apply_factors(self, node) -> None:

@@ -203,7 +203,7 @@ class HyperFlowServerlessSystem(WorkflowSystem):
                 self.config.assign_message_size,
                 tag=fn.assign_tag,
             )
-            if self.spans.enabled:
+            if self.spans.retain:
                 self.spans.record(
                     SpanKind.STATE_SYNC,
                     assign_start,
@@ -251,7 +251,7 @@ class HyperFlowServerlessSystem(WorkflowSystem):
                 self.config.result_message_size,
                 tag=fn.result_tag,
             )
-            if self.spans.enabled:
+            if self.spans.retain:
                 self.spans.record(
                     SpanKind.STATE_SYNC,
                     result_start,
@@ -266,7 +266,7 @@ class HyperFlowServerlessSystem(WorkflowSystem):
                 )
         # Completion handling in the serialized engine loop.
         yield from self._engine_step()
-        if not runs and self.spans.enabled:
+        if not runs and self.spans.retain:
             # Virtual markers and skipped arms never reach the runtime:
             # their one FUNCTION span covers the two engine steps.
             self.spans.record(

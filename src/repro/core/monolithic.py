@@ -42,7 +42,7 @@ class MonolithicSystem:
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.host = host or cluster.workers[0]
         self.spans = cluster.spans
-        if self.spans.enabled:
+        if self.spans.retain:
             self.metrics.spans = self.spans
         # name -> (DAG, its critical-path execution time).
         self._workflows: dict[str, tuple[WorkflowDAG, float]] = {}
@@ -92,7 +92,7 @@ class MonolithicSystem:
         if not node_meta.is_virtual:
             instances = max(1, int(round(node_meta.map_factor)))
             fn_span = None
-            if spans.enabled:
+            if spans.retain:
                 fn_span = spans.start(
                     SpanKind.FUNCTION,
                     workflow=dag.name,

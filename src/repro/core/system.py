@@ -16,7 +16,6 @@ from typing import Generator, Optional
 
 from ..dag import WorkflowDAG, critical_path
 from ..metrics import InvocationRecord, InvocationStatus, MetricsCollector
-from ..obs.telemetry import record_invocation_metrics
 from ..sim import Cluster
 from .config import EngineConfig
 from .faastore import DataPolicy, FaaStorePolicy
@@ -92,9 +91,8 @@ class WorkflowSystem:
         self.network = cluster.network
         self.config = config or EngineConfig()
         self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        if self.spans.enabled:
+        if self.spans.retain:
             self.metrics.spans = self.spans
         self.policy = policy or self.default_policy(cluster, self.metrics)
         self.registry = ProcessRegistry()
@@ -197,15 +195,13 @@ class WorkflowSystem:
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(dag, invocation_id)
         self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.tenant_of(workflow),
-                self.engine_label,
-            )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
             if root is not None:
-                self.spans.end(root, status=record.status)
+                self.spans.end(
+                    root, status=record.status,
+                    value=(record, self.tenant_of(workflow), self.engine_label),
+                )
         self._contexts.pop(invocation_id, None)
         self.in_flight -= 1
         return record

@@ -354,7 +354,7 @@ class WorkerEngine:
             step_start = self.env.now
             yield self.env.timeout(system.config.local_trigger_time)
             spans = system.spans
-            if spans.enabled:
+            if spans.retain:
                 spans.record(
                     SpanKind.FUNCTION,
                     step_start,
@@ -391,7 +391,7 @@ class WorkerEngine:
                     tag=entry.fail_tag,
                 )
                 spans = system.spans
-                if spans.enabled:
+                if spans.retain:
                     spans.record(
                         SpanKind.STATE_SYNC,
                         report_start,
@@ -470,7 +470,7 @@ class WorkerEngine:
             tag=entry.sink_tag,
         )
         spans = self.system.spans
-        if spans.enabled:
+        if spans.retain:
             spans.record(
                 SpanKind.STATE_SYNC,
                 report_start,
@@ -510,7 +510,7 @@ class WorkerEngine:
                 self.node.nic, remote_engine.node.nic, size, tag=tag
             )
             spans = system.spans
-            if spans.enabled:
+            if spans.retain:
                 role = self._sync_role
                 extra = {}
                 if count > 1:
@@ -797,7 +797,7 @@ class FaaSFlowSystem(WorkflowSystem):
             self.config.assign_message_size,
             tag=tag,
         )
-        if self.spans.enabled:
+        if self.spans.retain:
             self.spans.record(
                 SpanKind.STATE_SYNC,
                 send_start,

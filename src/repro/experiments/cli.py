@@ -153,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         activate(collector)
     markdown_sections = []
+    # Snapshots experiments write themselves (fig_scale's network cells),
+    # on top of what the collector flushes.
+    written = []
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         runner = _resolve(name)
@@ -174,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
             # collector covers everything built through make_cluster.
             kwargs["telemetry_out"] = args.telemetry_out
         result = runner(**kwargs)
+        written += result.data.get("telemetry_paths", [])
         print(result.format())
         if args.chart:
             from .charts import chart_for_result
@@ -201,9 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     if collector is not None:
         from ..obs.context import deactivate
 
-        paths = collector.flush()
+        paths = collector.flush() + written
         deactivate()
-        where = args.trace_out or args.telemetry_out
+        where = " and ".join(
+            dict.fromkeys(d for d in (args.trace_out, args.telemetry_out) if d)
+        )
         print(
             f"trace bundles: {len(paths)} files in {where} "
             f"(inspect with faasflow-trace)"

@@ -43,9 +43,12 @@ def _cell(task: tuple) -> dict:
 
     cluster = make_cluster(storage_bandwidth=bandwidth)
     # Spans must be installed before the system is built (engines and
-    # the runtime snapshot cluster.spans at construction).
-    if not cluster.spans.enabled:
-        cluster.install_spans(SpanTracer(cluster.env))
+    # the runtime snapshot cluster.spans at construction).  Breakdowns
+    # read the span ring; an ambient telemetry sink is kept.
+    if not cluster.spans.retain:
+        cluster.install_spans(
+            SpanTracer(cluster.env, telemetry=cluster.spans.telemetry)
+        )
     if variant == "worker":
         system, scheduler = make_faasflow(cluster, ship_data=True)
     else:

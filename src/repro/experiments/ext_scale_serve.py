@@ -26,7 +26,7 @@ import time
 
 from ..clients import OpenLoopClient
 from ..core import ENGINES, EngineConfig, hash_partition
-from ..obs.telemetry import MetricsRegistry
+from ..obs import MetricsRegistry, SpanTracer
 from ..sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from ..workloads import chain, diamond, fan, tree
 from .common import ExperimentResult
@@ -94,7 +94,7 @@ def run(
         ),
     )
     telemetry = MetricsRegistry(clock=lambda: env.now)
-    cluster.install_telemetry(telemetry)
+    cluster.install_spans(SpanTracer(env, retain=False, telemetry=telemetry))
     config = EngineConfig(
         ship_data=False,
         worker_process_time=0.001,

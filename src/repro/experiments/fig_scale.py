@@ -104,10 +104,10 @@ def drive_network(
     net = network_module.Network(env, network_module.NetworkConfig())
     registry = None
     if telemetry:
-        from ..obs.telemetry import MetricsRegistry
+        from ..obs import MetricsRegistry, SpanTracer
 
         registry = MetricsRegistry(clock=lambda: env.now)
-        net.telemetry = registry
+        net.spans = SpanTracer(env, retain=False, telemetry=registry)
     nics = [net.attach(f"n{i}", bandwidth) for i in range(nodes)]
 
     def starter(env):
@@ -163,6 +163,7 @@ def run(
     results = ParallelRunner(jobs).map(
         _cell, [(n, f, s, telemetry) for n, f, s in cells]
     )
+    written = []
     if telemetry_out is not None:
         from pathlib import Path
 
@@ -173,13 +174,15 @@ def run(
         for stats in results:
             snapshot = stats.pop("telemetry", None)
             if snapshot is not None:
-                write_telemetry_json(
-                    directory
-                    / (
-                        f"fig_scale-n{stats['nodes']}-f{stats['flows']}"
-                        f"-telemetry.json"
-                    ),
-                    snapshot,
+                written.append(
+                    write_telemetry_json(
+                        directory
+                        / (
+                            f"fig_scale-n{stats['nodes']}-f{stats['flows']}"
+                            f"-telemetry.json"
+                        ),
+                        snapshot,
+                    )
                 )
     rows = [
         [
@@ -208,7 +211,7 @@ def run(
             "A/B speedup vs the frozen pre-optimization model lives in "
             "BENCH_network.json (benchmarks/test_bench_network.py)",
         ],
-        data={"cells": list(results)},
+        data={"cells": list(results), "telemetry_paths": written},
     )
 
 

@@ -8,16 +8,16 @@ snapshot per-node resources on a simulated-time cadence.  Traces export
 as Chrome trace-event JSON (Perfetto / ``chrome://tracing``) and JSONL,
 inspected with the ``faasflow-trace`` CLI.
 
-Tracing is opt-in and zero-cost when disabled: producers hold the
-:data:`NULL_SPANS` singleton whose methods are no-ops.
-
-Streaming telemetry (:mod:`repro.obs.telemetry`) is the constant-memory
-counterpart: a :class:`MetricsRegistry` of counters, gauges, and
+Spans are the one emission API, opt-in and zero-cost when disabled:
+producers hold the :data:`NULL_SPANS` singleton whose methods are
+no-ops.  A :class:`SpanTracer` hands each finished span to its sinks:
+the bounded span ring (exporters, breakdowns) and/or a streaming
+:class:`MetricsRegistry` (:mod:`repro.obs.telemetry`), the
+constant-memory counterpart that folds spans into counters and
 log-bucketed mergeable histograms keyed by labeled dimensions, windowed
-on simulated time, with the same zero-cost-off guarantee
-(:data:`NULL_TELEMETRY`) and a deterministic merge so multi-trial runs
-aggregate identically for any number of worker processes.  SLO targets are
-evaluated over snapshots with :class:`SLOTracker`.
+on simulated time, with a deterministic merge so multi-trial runs
+aggregate identically for any number of worker processes.  SLO targets
+are evaluated over snapshots with :class:`SLOTracker`.
 """
 
 from .export import (
@@ -53,12 +53,9 @@ from .spans import (
     span_tree,
 )
 from .telemetry import (
-    NULL_TELEMETRY,
     Counter,
-    Gauge,
     LogHistogram,
     MetricsRegistry,
-    NullRegistry,
     merge_snapshots,
     read_telemetry_json,
     validate_snapshot,
@@ -68,12 +65,9 @@ from .telemetry import (
 __all__ = [
     "BREAKDOWN_COMPONENTS",
     "Counter",
-    "Gauge",
     "LogHistogram",
     "MetricsRegistry",
     "NULL_SPANS",
-    "NULL_TELEMETRY",
-    "NullRegistry",
     "NullSpanTracer",
     "SLOReport",
     "SLOTarget",

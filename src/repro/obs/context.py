@@ -60,20 +60,26 @@ class TraceCollector:
         self.label = label
 
     def instrument(self, cluster) -> Optional[SpanTracer]:
-        """Attach fresh instruments to a newly built cluster."""
+        """Attach one fresh tracer, with the sinks asked for, to a newly
+        built cluster."""
+        env = cluster.env
+        registry = (
+            MetricsRegistry(clock=lambda: env.now) if self.telemetry else None
+        )
         tracer = None
         sampler = None
-        if self.spans:
-            tracer = SpanTracer(cluster.env, limit=self.span_limit)
+        if self.spans or registry is not None:
+            tracer = SpanTracer(
+                env, limit=self.span_limit, retain=self.spans,
+                telemetry=registry,
+            )
             cluster.install_spans(tracer)
+        if self.spans:
             sampler = ResourceSampler(cluster, interval=self.sample_interval)
             sampler.start()
-        registry = None
-        if self.telemetry:
-            env = cluster.env
-            registry = MetricsRegistry(clock=lambda: env.now)
-            cluster.install_telemetry(registry)
-        self._runs.append((self.label, tracer, sampler, registry))
+        self._runs.append(
+            (self.label, tracer if self.spans else None, sampler, registry)
+        )
         return tracer
 
     def flush(self) -> list[Path]:

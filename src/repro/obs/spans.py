@@ -9,12 +9,25 @@ and child spans for each stage the task passed through (``queue-wait``,
 itself (network transfers with their contention-induced slowdown,
 container lifecycle events, FaaStore spills).
 
-The tracer is opt-in and *zero-cost when disabled*: every producer
-holds :data:`NULL_SPANS`, a :class:`NullSpanTracer` whose methods are
-no-ops, and guards any attribute collection behind ``spans.enabled``.
+Spans are the one way a producer reports a fact.  The tracer is opt-in
+and *zero-cost when disabled*: every producer holds :data:`NULL_SPANS`,
+a :class:`NullSpanTracer` whose methods are no-ops, and guards each
+site behind one ``spans.enabled`` check.
 
-Completed spans live in a bounded ring (drop-oldest, ``dropped``
-counted) so long runs keep their tail instead of losing it.
+A :class:`SpanTracer` hands every finished span to its sinks, either or
+both of:
+
+- the **ring** (``retain=True``): completed spans in a bounded
+  drop-oldest buffer (``dropped`` counted), so long runs keep their
+  tail; it feeds the exporters, breakdowns and span queries;
+- **telemetry** (``telemetry=registry``): a
+  :class:`~repro.obs.telemetry.MetricsRegistry` that folds each span
+  into constant-memory counters and histograms
+  (:meth:`~repro.obs.telemetry.MetricsRegistry.fold`).
+
+A site whose span no registry folds (function, state-sync, cold-start
+and fault spans) guards on ``spans.retain`` instead, so a tracer with
+the telemetry sink alone never builds it.
 
 :func:`decompose` turns one invocation's spans into a measured latency
 breakdown whose components sum *exactly* to the end-to-end latency: the
@@ -67,7 +80,7 @@ class SpanKind:
     RETRY = "retry"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed, causally-linked occurrence."""
 
@@ -82,6 +95,11 @@ class Span:
     node: str = ""
     status: str = "ok"
     attrs: dict = field(default_factory=dict)
+    # What the producer measured, for the telemetry sink and never
+    # exported: a float where ``end - start`` would differ from the
+    # measured value in the last bit, or a finished invocation's
+    # ``(record, tenant, engine)``.  None: the duration is the measure.
+    value: object = field(default=None, compare=False, repr=False)
 
     @property
     def duration(self) -> float:
@@ -242,15 +260,27 @@ def format_span_tree(spans: Iterable[Span]) -> str:
 
 
 class SpanTracer:
-    """Collects causal spans against a simulation environment's clock."""
+    """Collects causal spans against a simulation environment's clock.
+
+    Each finished span goes to the tracer's sinks: the bounded ring
+    when ``retain`` (exporters, breakdowns and span queries read it)
+    and ``telemetry.fold`` when a metrics registry is given.  A
+    telemetry-only tracer keeps no span past its end: no ring, no open
+    spans and no root of a finished invocation.
+    """
 
     enabled = True
 
-    def __init__(self, env, limit: int = 1_000_000):
+    def __init__(
+        self, env, limit: int = 1_000_000, *, retain: bool = True,
+        telemetry=None,
+    ):
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.env = env
         self.limit = limit
+        self.retain = retain
+        self.telemetry = telemetry
         # Completed spans, bounded ring: at capacity the *oldest* span
         # is evicted so the tail of a long run survives.
         self.spans: deque[Span] = deque(maxlen=limit)
@@ -261,9 +291,13 @@ class SpanTracer:
         self._contexts: dict[tuple[int, str], Span] = {}
 
     # -- recording -------------------------------------------------------
+    # The leading parameters are positional-only: CPython compares each
+    # ``**attrs`` keyword with every other parameter name on every call,
+    # and spans are recorded on the simulator's hot paths.
     def start(
         self,
         kind: str,
+        /,
         *,
         workflow: str = "",
         invocation_id: int = 0,
@@ -283,18 +317,22 @@ class SpanTracer:
             node=node,
             attrs=attrs,
         )
-        self._open[span.span_id] = span
+        if self.retain:
+            self._open[span.span_id] = span
         return span
 
-    def end(self, span: Span, status: str = "ok", **attrs) -> Span:
+    def end(
+        self, span: Span, /, status: str = "ok", value=None, **attrs
+    ) -> Span:
         if span.end is not None:
             return span
         span.end = self.env.now
         span.status = status
+        span.value = value
         if attrs:
             span.attrs.update(attrs)
         self._open.pop(span.span_id, None)
-        self._append(span)
+        self._finish(span)
         return span
 
     def record(
@@ -302,6 +340,7 @@ class SpanTracer:
         kind: str,
         start: float,
         end: Optional[float] = None,
+        /,
         *,
         workflow: str = "",
         invocation_id: int = 0,
@@ -309,29 +348,42 @@ class SpanTracer:
         node: str = "",
         parent: Optional[Span] = None,
         status: str = "ok",
+        value=None,
         **attrs,
     ) -> Span:
-        """Append a retrospective (already finished) span."""
+        """Record a retrospective (already finished) span."""
+        # Positional: a keyword call costs a third more per span.
         span = Span(
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else None,
-            kind=kind,
-            start=start,
-            end=self.env.now if end is None else end,
-            workflow=workflow,
-            invocation_id=invocation_id,
-            function=function,
-            node=node,
-            status=status,
-            attrs=attrs,
+            next(self._ids),
+            None if parent is None else parent.span_id,
+            kind,
+            start,
+            self.env.now if end is None else end,
+            workflow,
+            invocation_id,
+            function,
+            node,
+            status,
+            attrs,
+            value,
         )
-        self._append(span)
+        self._finish(span)
         return span
 
-    def event(self, kind: str, **kwargs) -> Span:
+    def event(self, kind: str, /, **kwargs) -> Span:
         """A zero-duration marker span at the current simulated time."""
         now = self.env.now
         return self.record(kind, now, now, **kwargs)
+
+    def _finish(self, span: Span) -> None:
+        """Hand a finished span to the sinks."""
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.fold(span)
+        if self.retain:
+            self._append(span)
+        elif span.kind == SpanKind.INVOCATION:
+            self._roots.pop(span.invocation_id, None)
 
     def _append(self, span: Span) -> None:
         if len(self.spans) >= self.limit:
@@ -376,7 +428,8 @@ class SpanTracer:
         """Close any still-open spans (timeout stragglers) at ``now``.
 
         Returns how many spans were force-closed; they keep
-        ``status="open"`` so exports can tell them apart.
+        ``status="open"`` so exports can tell them apart, and go to the
+        ring only: telemetry folds finished facts, not stragglers.
         """
         closed = 0
         for span in list(self._open.values()):
@@ -447,6 +500,8 @@ class NullSpanTracer:
     """
 
     enabled = False
+    retain = False
+    telemetry = None
     dropped = 0
     limit = 0
 

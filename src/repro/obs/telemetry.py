@@ -1,28 +1,30 @@
 """Streaming telemetry: mergeable metric sketches on simulated time.
 
-The dashboard layer the per-run span traces cannot be: spans keep one
-object per occurrence (bounded ring, post-hoc analysis), while a
-:class:`MetricsRegistry` folds every event into constant-memory
-instruments the moment it happens — counters, gauges, and log-bucketed
-histograms with exact count/sum and bounded-relative-error quantiles —
-keyed by labeled dimensions (tenant, workflow, function, node, engine,
-phase) and windowed into a time series on *simulated* time.
+The dashboard layer the per-run span traces cannot be: the span ring
+keeps one object per occurrence (bounded, post-hoc analysis), while a
+:class:`MetricsRegistry` folds every finished span into constant-memory
+instruments the moment it ends — counters and log-bucketed histograms
+with exact count/sum and bounded-relative-error quantiles — keyed by
+labeled dimensions (tenant, workflow, function, node, engine, phase)
+and windowed into a time series on *simulated* time.
 
 Three properties carry the design:
 
-- **Zero-cost off.**  Producers hold :data:`NULL_TELEMETRY` (a
-  :class:`NullRegistry`) by default and guard every emit behind
-  ``telemetry.enabled`` — exactly the ``NULL_SPANS`` discipline, so an
-  uninstrumented run pays one truthiness check per emit point.
+- **One emission API.**  Producers report facts only as spans; a
+  registry is a sink of a :class:`~repro.obs.spans.SpanTracer`
+  (``SpanTracer(env, retain=False, telemetry=registry)`` for telemetry
+  alone), and :meth:`MetricsRegistry.fold` maps each span kind to the
+  ``function.*``, ``container.*``, ``data.*``, ``net.*`` and
+  ``workflow.*`` instruments.  With no tracer installed a producer pays
+  one ``spans.enabled`` check per site.
 - **Mergeable.**  Every instrument has an exact, deterministic merge:
-  counters and histogram buckets add, gauges are last-writer-wins on
-  the simulated clock.  A multi-trial run (``faasflow-run --trials``)
-  collects one registry per trial and merges their
-  :meth:`~MetricsRegistry.snapshot`\\ s with :func:`merge_snapshots`;
-  because the merge runs in trial order over per-trial values that do
-  not depend on which worker process ran the trial, the merged
-  telemetry is identical for any ``--jobs`` (asserted in the test suite
-  and in ``benchmarks/test_bench_obs.py``).
+  counters and histogram buckets add.  A multi-trial run
+  (``faasflow-run --trials``) collects one registry per trial and
+  merges their :meth:`~MetricsRegistry.snapshot`\\ s with
+  :func:`merge_snapshots`; because the merge runs in trial order over
+  per-trial values that do not depend on which worker process ran the
+  trial, the merged telemetry is identical for any ``--jobs`` (asserted
+  in the test suite and in ``benchmarks/test_bench_obs.py``).
 - **Bounded error.**  Histogram buckets grow geometrically (default
   ``growth=1.1``), so any quantile read off a bucket's upper bound is
   within a factor ``growth`` of the true order statistic while
@@ -40,13 +42,12 @@ import math
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
+from .spans import SpanKind
+
 __all__ = [
     "LogHistogram",
     "Counter",
-    "Gauge",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_TELEMETRY",
     "merge_snapshots",
     "write_telemetry_json",
     "read_telemetry_json",
@@ -283,42 +284,7 @@ class Counter:
         return counter
 
 
-class Gauge:
-    """A last-writer-wins instantaneous value on the simulated clock.
-
-    The merge rule (keep the larger ``(time, value)`` pair) is
-    deterministic but order-free, so gauges are safe to merge across
-    runs — at the cost of only ever reflecting the latest writer.
-    """
-
-    __slots__ = ("value", "time")
-
-    def __init__(self):
-        self.value = 0.0
-        self.time = -math.inf
-
-    def set(self, value: float, time: float) -> None:
-        if time >= self.time:
-            self.value = value
-            self.time = time
-
-    def merge(self, other: "Gauge") -> None:
-        if (other.time, other.value) > (self.time, self.value):
-            self.value = other.value
-            self.time = other.time
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "time": self.time}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Gauge":
-        gauge = cls()
-        gauge.value = data["value"]
-        gauge.time = data["time"]
-        return gauge
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": LogHistogram}
+_KINDS = {"counter": Counter, "histogram": LogHistogram}
 
 
 class MetricsRegistry:
@@ -326,12 +292,11 @@ class MetricsRegistry:
 
     ``clock`` is a zero-argument callable returning the current
     *simulated* time (usually ``lambda: env.now``); observations fall
-    into window ``int(now // window)`` of that clock.  All three emit
-    shortcuts (:meth:`inc`, :meth:`observe`, :meth:`set_gauge`) accept
-    labels as keyword arguments.
+    into window ``int(now // window)`` of that clock.  Both emit
+    shortcuts (:meth:`inc`, :meth:`observe`) accept labels as keyword
+    arguments; instrumented runs fill the registry through
+    :meth:`fold`.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -346,6 +311,9 @@ class MetricsRegistry:
         self.growth = float(growth)
         # (name, labels-tuple) -> (kind, labels-dict, instrument)
         self._instruments: dict[tuple, tuple] = {}
+        # (series tag, *label values) -> the bound inc/observe of each
+        # instrument that series feeds: see _adds.
+        self._series: dict[tuple, tuple] = {}
 
     def _window_index(self) -> int:
         return int(self.clock() // self.window)
@@ -371,9 +339,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get("counter", name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
-
     def histogram(self, name: str, **labels) -> LogHistogram:
         return self._get("histogram", name, labels)
 
@@ -386,8 +351,33 @@ class MetricsRegistry:
             value, self._window_index()
         )
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        self._get("gauge", name, labels).set(value, self.clock())
+    def _adds(self, series: tuple, values: tuple) -> tuple:
+        """Bound ``inc``/``observe`` of each instrument ``series`` feeds,
+        labeled ``values``: keyed by the label values in the series'
+        fixed order, so a fold builds and sorts no label dict once its
+        series exist."""
+        key = (series[0], *values)
+        adds = self._series.get(key)
+        if adds is None:
+            labels = dict(zip(series[1], values))
+            adds = self._series[key] = tuple(
+                self._get(kind, name, labels).inc
+                if kind == "counter"
+                else self._get(kind, name, labels).observe
+                for kind, name in series[2:]
+            )
+        return adds
+
+    def fold(self, span) -> None:
+        """Fold one finished span into the instruments it reports.
+
+        The telemetry sink of a :class:`~repro.obs.spans.SpanTracer`,
+        called as each span ends, so the window is the end's simulated
+        time.  Span kinds without instruments are ignored.
+        """
+        fold = _FOLDS.get(span.kind)
+        if fold is not None:
+            fold(self, span, int(self.clock() // self.window))
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
@@ -422,81 +412,13 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._instruments.clear()
-
-
-class NullRegistry:
-    """The disabled registry: every operation is a no-op.
-
-    Producers hold :data:`NULL_TELEMETRY` by default and guard emits
-    behind ``telemetry.enabled``, mirroring :data:`NULL_SPANS` — an
-    uninstrumented run costs one truthiness check per emit point.
-    """
-
-    enabled = False
-    window = DEFAULT_WINDOW
-    growth = DEFAULT_GROWTH
-
-    class _NullInstrument:
-        __slots__ = ()
-
-        def inc(self, *args, **kwargs) -> None:
-            return None
-
-        def observe(self, *args, **kwargs) -> None:
-            return None
-
-        def set(self, *args, **kwargs) -> None:
-            return None
-
-        def merge(self, *args, **kwargs) -> None:
-            return None
-
-    _NULL = _NullInstrument()
-
-    def counter(self, name: str, **labels):
-        return self._NULL
-
-    def gauge(self, name: str, **labels):
-        return self._NULL
-
-    def histogram(self, name: str, **labels):
-        return self._NULL
-
-    def inc(self, *args, **kwargs) -> None:
-        return None
-
-    def observe(self, *args, **kwargs) -> None:
-        return None
-
-    def set_gauge(self, *args, **kwargs) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> dict:
-        return {
-            "type": "telemetry",
-            "window": self.window,
-            "growth": self.growth,
-            "metrics": [],
-        }
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        return None
-
-    def clear(self) -> None:
-        return None
-
-
-NULL_TELEMETRY = NullRegistry()
+        self._series.clear()
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Merge telemetry snapshots in the given (deterministic) order.
 
-    Counters and histogram buckets add; gauges are last-writer-wins on
-    simulated time.  Merging per-trial snapshots in trial order performs
+    Counters and histogram buckets add.  Merging per-trial snapshots in trial order performs
     the identical float addition sequence no matter how many processes
     produced them, which is what makes merged multi-trial telemetry the
     same for any number of worker processes.
@@ -519,10 +441,10 @@ def record_invocation_metrics(
 ) -> None:
     """Fold one finished invocation into the registry.
 
-    The shared emit path for both engines (called at their
-    ``metrics.record_invocation`` point): latency and scheduling
-    overhead into histograms, plus status / cold-start / retry counters,
-    all labeled (tenant, workflow, engine).
+    What an engine's ``invocation`` root span reports when it ends
+    (its ``value`` is ``(record, tenant, engine)``): latency and
+    scheduling overhead into histograms, plus status / cold-start /
+    retry counters, all labeled (tenant, workflow, engine).
     """
     labels = dict(tenant=tenant, workflow=record.workflow, engine=engine)
     telemetry.observe("workflow.latency", record.latency, **labels)
@@ -534,6 +456,113 @@ def record_invocation_metrics(
         telemetry.inc("workflow.cold_starts", float(record.cold_starts), **labels)
     if record.retries:
         telemetry.inc("workflow.retries", float(record.retries), **labels)
+
+
+def _measured(span) -> float:
+    """The producer's measurement if it handed one over, else the
+    duration (``end - start`` can differ from a value measured another
+    way in the last bit, which would move a histogram's ``sum``)."""
+    return span.end - span.start if span.value is None else span.value
+
+
+# A series: a cache tag, the label names, then the (kind, name) of each
+# instrument one span of that shape feeds.
+_FUNCTION = ("workflow", "function", "node")
+_RETRIES = ("retry", (*_FUNCTION, "cause"), ("counter", "function.retries"))
+_QUEUE_WAIT = (
+    "queue-wait", (*_FUNCTION, "resource"),
+    ("histogram", "function.queue_wait_seconds"),
+)
+_EXECUTE = (
+    "execute", (*_FUNCTION, "status"),
+    ("histogram", "function.execute_seconds"),
+)
+_CONTAINER = {
+    lifecycle: (lifecycle, ("node", "function"), *metrics)
+    for lifecycle, *metrics in (
+        ("warm-reuse", ("counter", "container.warm_reuses")),
+        (
+            "cold-start", ("counter", "container.cold_starts"),
+            ("histogram", "container.cold_start_seconds"),
+        ),
+        ("crash", ("counter", "container.crashes")),
+        ("evict", ("counter", "container.evictions")),
+    )
+}
+_NET = (
+    "net", ("node", "kind"),
+    ("counter", "net.bytes"), ("counter", "net.transfers"),
+)
+_DATA = (
+    "data", ("workflow", "node", "phase", "local"),
+    ("counter", "data.bytes"), ("counter", "data.ops"),
+    ("histogram", "data.seconds"),
+)
+_SPILLS = ("spill", ("workflow", "node", "phase"), ("counter", "data.spills"))
+
+
+def _fold_invocation(registry: MetricsRegistry, span, window: int) -> None:
+    # Only engine roots carry an outcome; monolithic roots carry none.
+    if span.value is not None:
+        record_invocation_metrics(registry, *span.value)
+
+
+def _fold_container(registry: MetricsRegistry, span, window: int) -> None:
+    adds = registry._adds(
+        _CONTAINER[span.attrs["lifecycle"]], (span.node, span.function)
+    )
+    adds[0](1.0, window)
+    if len(adds) > 1:  # a cold start also reports its duration
+        adds[1](_measured(span), window)
+
+
+def _fold_net(registry: MetricsRegistry, span, window: int) -> None:
+    # Labeled by the sending node, which owns the transfer.
+    attrs = span.attrs
+    add_bytes, add_transfer = registry._adds(
+        _NET, (span.node, attrs["transfer"])
+    )
+    add_bytes(attrs["size"], window)
+    add_transfer(1.0, window)
+
+
+def _fold_data(registry: MetricsRegistry, span, window: int) -> None:
+    attrs = span.attrs
+    if span.kind == SpanKind.GET:
+        phase = "get"
+    else:
+        phase = "push" if attrs.get("eager") else "put"
+    add_bytes, add_op, add_seconds = registry._adds(
+        _DATA,
+        (
+            span.workflow, span.node, phase,
+            "local" if attrs["local"] else "remote",
+        ),
+    )
+    add_bytes(attrs["size"], window)
+    add_op(1.0, window)
+    add_seconds(_measured(span), window)
+
+
+_FOLDS = {
+    SpanKind.INVOCATION: _fold_invocation,
+    SpanKind.RETRY: lambda registry, s, window: registry._adds(
+        _RETRIES, (s.workflow, s.function, s.node, s.attrs["cause"])
+    )[0](1.0, window),
+    SpanKind.QUEUE_WAIT: lambda registry, s, window: registry._adds(
+        _QUEUE_WAIT, (s.workflow, s.function, s.node, s.attrs["resource"])
+    )[0](_measured(s), window),
+    SpanKind.EXECUTE: lambda registry, s, window: registry._adds(
+        _EXECUTE, (s.workflow, s.function, s.node, s.status)
+    )[0](_measured(s), window),
+    SpanKind.CONTAINER: _fold_container,
+    SpanKind.NET: _fold_net,
+    SpanKind.PUT: _fold_data,
+    SpanKind.GET: _fold_data,
+    SpanKind.SPILL: lambda registry, s, window: registry._adds(
+        _SPILLS, (s.workflow, s.node, s.attrs["phase"])
+    )[0](1.0, window),
+}
 
 
 def find_metrics(

@@ -104,28 +104,29 @@ def run_workflow(
         env,
         ClusterConfig(workers=workers, storage_bandwidth=bandwidth_mb * MB),
     )
-    span_tracer = None
-    sampler = None
-    if trace or trace_out is not None:
+    retain = trace or trace_out is not None
+    registry = None
+    if collect_telemetry or telemetry_out is not None:
+        from .obs.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry(clock=lambda: env.now)
+    tracer = None
+    if retain or registry is not None:
         from .obs import SpanTracer
 
         # Must precede system construction: engines snapshot
-        # cluster.spans when they are built.
-        span_tracer = SpanTracer(env)
-        cluster.install_spans(span_tracer)
+        # cluster.spans when they are built.  The registry joins the
+        # tracer once the feedback bootstrap is over (below); until then
+        # a tracer without the ring has no sink and builds no spans.
+        tracer = SpanTracer(env, retain=retain)
+        tracer.enabled = retain
+        cluster.install_spans(tracer)
+    sampler = None
     if trace_out is not None:
         from .obs import ResourceSampler
 
         sampler = ResourceSampler(cluster, interval=sample_interval)
         sampler.start()
-    registry = None
-    if collect_telemetry or telemetry_out is not None:
-        from .obs.telemetry import MetricsRegistry
-
-        # Same rule as spans: engines snapshot cluster.telemetry when
-        # they are built, so install before system construction.
-        registry = MetricsRegistry(clock=lambda: env.now)
-        cluster.install_telemetry(registry)
     faults = (
         FaultInjector(default_rate=fault_rate, seed=seed)
         if fault_rate > 0
@@ -157,10 +158,11 @@ def run_workflow(
                 container_limits=scheduler.container_limits(dag),
             )
             system.metrics.clear()
-            if registry is not None:
-                # The feedback bootstrap is calibration, not load: drop
-                # its telemetry along with its collector records.
-                registry.clear()
+    if tracer is not None:
+        # The feedback bootstrap is calibration, not load: telemetry
+        # folds only what follows it.
+        tracer.telemetry = registry
+        tracer.enabled = True
     if prewarm:
         # Let the prewarmed containers finish booting before load starts.
         env.run(until=env.now + cluster.config.container.cold_start_time + 0.01)
@@ -176,7 +178,7 @@ def run_workflow(
         from .obs.export import export_trace
 
         trace_paths = export_trace(
-            trace_out, span_tracer, sampler=sampler, metrics=metrics,
+            trace_out, tracer, sampler=sampler, metrics=metrics,
             prefix=dag.name, telemetry=registry,
         )
     telemetry_snapshot = registry.snapshot() if registry is not None else None
@@ -213,7 +215,7 @@ def run_workflow(
         cold_starts=sum(r.cold_starts for r in records),
         records=records,
         metrics=metrics,
-        spans=span_tracer,
+        spans=tracer if retain else None,
         trace_paths=trace_paths,
         telemetry=telemetry_snapshot,
         telemetry_path=telemetry_path,
@@ -417,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
-        help="collect streaming metrics (counters/gauges/histograms on "
+        help="collect streaming metrics (counters/histograms on "
         "simulated time) and write the snapshot to PATH (a directory, "
         "or a .json file); with --trials the per-trial snapshots are "
         "merged deterministically in trial order",

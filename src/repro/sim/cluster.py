@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs.spans import NULL_SPANS
-from ..obs.telemetry import NULL_TELEMETRY
 from .container import ContainerPool, ContainerSpec
 from .kernel import Environment, SimulationError
 from .network import MB, Network, NetworkConfig, NIC
@@ -175,7 +174,6 @@ class Cluster:
         self._by_name: dict[str, Node] = {n.name: n for n in self.workers}
         self._by_name[self.storage_node.name] = self.storage_node
         self.spans = NULL_SPANS
-        self.telemetry = NULL_TELEMETRY
 
     def install_spans(self, spans) -> None:
         """Attach a span tracer to every producer in the substrate.
@@ -183,26 +181,14 @@ class Cluster:
         The network (transfer spans with contention slowdown) and each
         node's container pool (cold-start / warm-reuse / evict events)
         record into ``spans``; engines built on this cluster pick it up
-        as their default tracer too.
+        as their default tracer too, so install it before building
+        systems.  The tracer's sinks decide what the spans feed: the
+        span ring, a telemetry registry, or both.
         """
         self.spans = spans
         self.network.spans = spans
         for node in [*self.workers, self.storage_node]:
             node.containers.spans = spans
-
-    def install_telemetry(self, telemetry) -> None:
-        """Attach a metrics registry to every producer in the substrate.
-
-        Mirrors :meth:`install_spans`: the network (per-node transfer
-        counters) and each node's container pool (lifecycle counters)
-        emit into ``telemetry``; engines built on this cluster pick it
-        up as their default registry too.  Must be installed before
-        systems are constructed, same as span tracers.
-        """
-        self.telemetry = telemetry
-        self.network.telemetry = telemetry
-        for node in [*self.workers, self.storage_node]:
-            node.containers.telemetry = telemetry
 
     def node(self, name: str) -> Node:
         try:

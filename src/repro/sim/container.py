@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Optional
 
 from ..obs.spans import NULL_SPANS, SpanKind
-from ..obs.telemetry import NULL_TELEMETRY
 from .kernel import Environment, Event, SimulationError, Timeout
 from .resources import CPUAllocator, MemoryAccount
 
@@ -177,7 +176,6 @@ class ContainerPool:
         self.warm_reuses = 0
         self.node_failures = 0
         self.spans = NULL_SPANS
-        self.telemetry = NULL_TELEMETRY
 
     def set_function_limit(self, function: str, limit: float) -> None:
         """Create future containers of ``function`` with ``limit`` bytes.
@@ -237,11 +235,6 @@ class ContainerPool:
             self._cancel_expiry(container)
             container.invocations += 1
             self.warm_reuses += 1
-            if self.telemetry.enabled:
-                self.telemetry.inc(
-                    "container.warm_reuses", 1.0,
-                    node=self.node_name, function=function,
-                )
             if self.spans.enabled:
                 self.spans.event(
                     SpanKind.CONTAINER, node=self.node_name,
@@ -331,11 +324,6 @@ class ContainerPool:
             if request.version == container.version:
                 container.invocations += 1
                 self.warm_reuses += 1
-                if self.telemetry.enabled:
-                    self.telemetry.inc(
-                        "container.warm_reuses", 1.0,
-                        node=self.node_name, function=container.function,
-                    )
                 if self.spans.enabled:
                     self.spans.event(
                         SpanKind.CONTAINER, node=self.node_name,
@@ -436,15 +424,6 @@ class ContainerPool:
                 return
             container.state = ContainerState.BUSY
             container.invocations += 1
-            if self.telemetry.enabled:
-                self.telemetry.inc(
-                    "container.cold_starts", 1.0,
-                    node=self.node_name, function=function,
-                )
-                self.telemetry.observe(
-                    "container.cold_start_seconds", self.env.now - started,
-                    node=self.node_name, function=function,
-                )
             if self.spans.enabled:
                 self.spans.record(
                     SpanKind.CONTAINER, started, node=self.node_name,
@@ -481,11 +460,6 @@ class ContainerPool:
         container.state = ContainerState.DEAD
         self._cancel_expiry(container)
         self.memory.free(container._memory_handle)
-        if self.telemetry.enabled:
-            self.telemetry.inc(
-                "container.crashes" if was_busy else "container.evictions",
-                1.0, node=self.node_name, function=container.function,
-            )
         if self.spans.enabled:
             self.spans.event(
                 SpanKind.CONTAINER, node=self.node_name,

@@ -44,7 +44,6 @@ from typing import Iterable, Optional
 
 from ..metrics.ledger import Ledger
 from ..obs.spans import NULL_SPANS, SpanKind
-from ..obs.telemetry import NULL_TELEMETRY
 from .kernel import Environment, Event, SimulationError, Timeout
 
 __all__ = ["NIC", "Network", "Flow", "TransferRecord", "MB", "KB"]
@@ -269,7 +268,6 @@ class Network:
         self.message_count = 0
         self.flow_count = 0
         self.spans = NULL_SPANS
-        self.telemetry = NULL_TELEMETRY
 
     # -- topology ------------------------------------------------------
     def attach(self, name: str, bandwidth: float) -> NIC:
@@ -397,10 +395,6 @@ class Network:
             pair_bytes[pair] += size
         except KeyError:
             pair_bytes[pair] = size
-        if self.telemetry.enabled:
-            # Labeled by the sending node, which owns the transfer.
-            self.telemetry.inc("net.bytes", size, node=src.name, kind=kind)
-            self.telemetry.inc("net.transfers", 1.0, node=src.name, kind=kind)
         if self.spans.enabled:
             # Contention-induced slowdown: actual wire time over the
             # uncontended time the same bytes would have taken.

@@ -359,10 +359,12 @@ class TestNodeCrashes:
 
 class TestTelemetryLabel:
     def test_invocations_labeled_engine_dataflow(self, env, cluster):
-        from repro.obs.telemetry import MetricsRegistry
+        from repro.obs import MetricsRegistry, SpanTracer
 
         registry = MetricsRegistry(clock=lambda: env.now)
-        cluster.install_telemetry(registry)
+        cluster.install_spans(
+            SpanTracer(env, retain=False, telemetry=registry)
+        )
         system = make_system(cluster)
         dag = linear_dag(n=2)
         system.deploy(dag, all_on(dag, "worker-0"))

@@ -219,6 +219,24 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    def test_cli_counts_the_telemetry_files_it_wrote(self, tmp_path, capsys):
+        # fig_scale writes its cells' snapshots itself, outside the
+        # ambient collector; the summary line must count them too.
+        from repro.experiments.cli import main
+
+        out_dir = tmp_path / "tele"
+        assert main(
+            ["fig_scale", "--quick", "--jobs", "2",
+             "--telemetry-out", str(out_dir)]
+        ) == 0
+        files = sorted(out_dir.iterdir())
+        assert [f.name for f in files] == [
+            f"fig_scale-n{n}-f{f}-telemetry.json"
+            for n in (16, 8) for f in (10, 50)
+        ]
+        out = capsys.readouterr().out
+        assert f"trace bundles: {len(files)} files in {out_dir} " in out
+
 
 class TestSec6:
     def test_memory_upgrade_beats_network_upgrade(self):

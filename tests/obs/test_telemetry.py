@@ -3,9 +3,9 @@
 The mergeability contract is the load-bearing property: merging
 per-trial snapshots must reproduce the combined instruments
 exactly (integer bucket counts) or to float-addition identity (sums
-merged in a deterministic order).  ``NullRegistry`` mirrors
-``NullSpanTracer``: producers keep a reference unconditionally and pay
-only an attribute check when telemetry is off.
+merged in a deterministic order).  A registry is the telemetry sink of a
+span tracer: :meth:`MetricsRegistry.fold` turns each finished span into
+the instruments it reports.
 """
 
 import json
@@ -14,12 +14,9 @@ import math
 import pytest
 
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     Counter,
-    Gauge,
     LogHistogram,
     MetricsRegistry,
-    NullRegistry,
     find_metrics,
     merge_snapshots,
     metric_key,
@@ -142,31 +139,6 @@ class TestCounterGauge:
         with pytest.raises(ValueError):
             Counter().inc(-1.0)
 
-    def test_gauge_last_writer_wins_on_time(self):
-        gauge = Gauge()
-        gauge.set(5.0, time=2.0)
-        gauge.set(3.0, time=1.0)  # stale write, ignored
-        assert gauge.value == 5.0
-        other = Gauge()
-        other.set(9.0, time=1.5)
-        gauge.merge(other)  # other is older, loses
-        assert gauge.value == 5.0 and gauge.time == 2.0
-        fresh = Gauge()
-        fresh.set(1.0, time=10.0)
-        gauge.merge(fresh)  # fresher, wins
-        assert gauge.value == 1.0 and gauge.time == 10.0
-
-    def test_gauge_merge_is_order_free(self):
-        a, b = Gauge(), Gauge()
-        a.set(5.0, time=2.0)
-        b.set(9.0, time=1.5)
-        ab, ba = Gauge(), Gauge()
-        for g in (a, b):
-            ab.merge(g)
-        for g in (b, a):
-            ba.merge(g)
-        assert ab.to_dict() == ba.to_dict()
-
 
 class TestRegistry:
     def test_labels_key_instruments(self):
@@ -266,24 +238,6 @@ class TestRegistry:
         assert len(find_metrics(snapshot, "ops")) == 2
         assert len(find_metrics(snapshot, "ops", wf="a")) == 1
         assert find_metrics(snapshot, "missing") == []
-
-
-class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert isinstance(NULL_TELEMETRY, NullRegistry)
-        NULL_TELEMETRY.inc("m", 1.0, node="x")
-        NULL_TELEMETRY.observe("m2", 0.5)
-        NULL_TELEMETRY.set_gauge("m3", 1.0)
-        assert len(NULL_TELEMETRY) == 0
-        assert NULL_TELEMETRY.snapshot()["metrics"] == []
-
-    def test_accessors_return_noop_instruments(self):
-        counter = NULL_TELEMETRY.counter("m")
-        counter.inc(5.0)
-        hist = NULL_TELEMETRY.histogram("h")
-        hist.observe(1.0)
-        assert len(NULL_TELEMETRY) == 0
 
 
 class TestValidateSnapshot:
@@ -392,3 +346,110 @@ class TestQuantileCache:
         assert hist.quantile(50) == 5.0
         hist.merge(LogHistogram())  # nothing to add
         assert hist.quantile(50) == 5.0
+
+
+class TestFold:
+    """The registry as a span sink: each finished span becomes the
+    counters and histograms of its kind, at the simulated time it ends."""
+
+    @staticmethod
+    def _tracer(retain=False):
+        from repro.obs import SpanTracer
+        from repro.sim import Environment
+
+        env = Environment()
+        registry = MetricsRegistry(clock=lambda: env.now)
+        return SpanTracer(env, retain=retain, telemetry=registry), registry
+
+    def test_measured_value_is_folded_not_the_duration(self):
+        from repro.obs import SpanKind
+
+        tracer, registry = self._tracer()
+        # 0.1 + 0.2 - 0.1 != 0.2 in floating point: a fold of end - start
+        # would move the histogram's sum.
+        tracer.record(
+            SpanKind.QUEUE_WAIT, 0.1, 0.1 + 0.2, workflow="w",
+            function="f", node="n", value=0.2, resource="container",
+        )
+        tracer.record(
+            SpanKind.EXECUTE, 0.1, 0.1 + 0.2, workflow="w", function="f",
+            node="n",
+        )
+        wait = registry.histogram(
+            "function.queue_wait_seconds",
+            workflow="w", function="f", node="n", resource="container",
+        )
+        execute = registry.histogram(
+            "function.execute_seconds",
+            workflow="w", function="f", node="n", status="ok",
+        )
+        assert wait.sum == 0.2
+        assert execute.sum == (0.1 + 0.2) - 0.1 != 0.2
+
+    def test_data_spans_fold_phase_and_locality(self):
+        from repro.obs import SpanKind
+
+        tracer, registry = self._tracer()
+        common = dict(workflow="w", node="n", producer="p", size=8.0)
+        tracer.record(SpanKind.PUT, 0.0, value=0.5, local=True, **common)
+        tracer.record(
+            SpanKind.PUT, 0.0, value=0.25, local=False, eager=True, **common
+        )
+        tracer.record(SpanKind.GET, 0.0, value=0.125, local=False, **common)
+        labels = [
+            (m["labels"]["phase"], m["labels"]["local"], m["total"])
+            for m in registry.snapshot()["metrics"]
+            if m["name"] == "data.bytes"
+        ]
+        assert sorted(labels) == [
+            ("get", "remote", 8.0), ("push", "remote", 8.0),
+            ("put", "local", 8.0),
+        ]
+
+    def test_kinds_without_instruments_are_ignored(self):
+        from repro.obs import SpanKind
+
+        tracer, registry = self._tracer()
+        span = tracer.start(SpanKind.FUNCTION, function="f")
+        tracer.end(span)
+        tracer.event(SpanKind.FAULT, node="n", fault="node-crash")
+        tracer.record(SpanKind.STATE_SYNC, 0.0, role="sink-report")
+        assert len(registry) == 0
+
+    def test_telemetry_only_tracer_keeps_no_spans(self):
+        from repro.obs import SpanKind
+
+        tracer, registry = self._tracer()
+        root = tracer.start_invocation(7, workflow="w")
+        tracer.event(
+            SpanKind.CONTAINER, node="n", function="f", lifecycle="warm-reuse"
+        )
+        tracer.end(root)  # no outcome value: nothing to fold
+        assert len(tracer) == 0
+        assert tracer._open == {} and tracer._roots == {}
+        assert [m["name"] for m in registry.snapshot()["metrics"]] == [
+            "container.warm_reuses"
+        ]
+
+    def test_both_sinks_see_the_same_spans(self):
+        from repro.obs import SpanKind
+
+        tracer, registry = self._tracer(retain=True)
+        tracer.event(
+            SpanKind.NET, node="a", transfer="remote", dst="b", size=3.0
+        )
+        assert [s.kind for s in tracer.all_spans()] == [SpanKind.NET]
+        assert registry.counter("net.bytes", node="a", kind="remote").total == 3.0
+
+    def test_measured_value_is_not_exported(self, tmp_path):
+        from repro.obs import SpanKind, read_spans_jsonl, write_spans_jsonl
+
+        tracer, _ = self._tracer(retain=True)
+        tracer.record(
+            SpanKind.GET, 0.0, workflow="w", node="n", value=0.5,
+            producer="p", size=1.0, local=True,
+        )
+        path = write_spans_jsonl(tmp_path / "s.jsonl", tracer)
+        assert "value" not in json.loads(path.read_text().splitlines()[1])
+        (span,), _ = read_spans_jsonl(path)
+        assert span.value is None and span == tracer.spans[0]
