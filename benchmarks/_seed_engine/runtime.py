@@ -47,8 +47,8 @@ from .state import InvocationID, Placement
 
 
 class _TelemetryOff:
-    """Stands in for the registry the cluster no longer carries: the
-    A/B runs of this frozen copy always ran with telemetry off."""
+    """The telemetry handle of this frozen copy: its A/B runs are
+    uninstrumented, so every telemetry site reads ``enabled`` only."""
 
     enabled = False
 

@@ -174,16 +174,11 @@ def run(
         for stats in results:
             snapshot = stats.pop("telemetry", None)
             if snapshot is not None:
-                written.append(
-                    write_telemetry_json(
-                        directory
-                        / (
-                            f"fig_scale-n{stats['nodes']}-f{stats['flows']}"
-                            f"-telemetry.json"
-                        ),
-                        snapshot,
-                    )
+                name = (
+                    f"fig_scale-n{stats['nodes']}-f{stats['flows']}"
+                    "-telemetry.json"
                 )
+                written.append(write_telemetry_json(directory / name, snapshot))
     rows = [
         [
             stats["nodes"],
