@@ -31,7 +31,6 @@ from repro.metrics import (
     MetricsCollector,
 )
 from repro.obs.spans import SpanKind
-from repro.obs.telemetry import record_invocation_metrics
 from repro.sim import Cluster, Node, Resource
 from repro.core.config import EngineConfig
 from repro.core.faastore import DataPolicy, RemoteStorePolicy
@@ -43,7 +42,7 @@ from repro.core.faults import (
     ProcessRegistry,
     TaskCancelled,
 )
-from .runtime import TELEMETRY_OFF, FunctionRuntime
+from .runtime import FunctionRuntime
 from repro.core.switching import is_skipped
 from .state import (
     InvocationID,
@@ -96,7 +95,6 @@ class HyperFlowServerlessSystem:
         self.config = config or EngineConfig()
         self.tracer = tracer
         self.spans = cluster.spans
-        self.telemetry = TELEMETRY_OFF
         self.metrics = metrics if metrics is not None else MetricsCollector()
         if self.spans.enabled:
             self.metrics.spans = self.spans
@@ -204,10 +202,6 @@ class HyperFlowServerlessSystem:
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(dag, invocation_id)
         self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.config.tenant, self.mode
-            )
         self.trace(
             Kind.INVOCATION_END, workflow, invocation_id, detail=record.status
         )

@@ -45,16 +45,6 @@ from repro.core.faults import (
 )
 from .state import InvocationID, Placement
 
-
-class _TelemetryOff:
-    """The telemetry handle of this frozen copy: its A/B runs are
-    uninstrumented, so every telemetry site reads ``enabled`` only."""
-
-    enabled = False
-
-
-TELEMETRY_OFF = _TelemetryOff()
-
 __all__ = ["FunctionRuntime", "ExecutionResult"]
 
 
@@ -93,7 +83,6 @@ class FunctionRuntime:
         self.retry_policy = RetryPolicy.from_config(config)
         self.env = cluster.env
         self.spans = cluster.spans
-        self.telemetry = TELEMETRY_OFF
         self._jitter_rng = (
             random.Random(config.jitter_seed)
             if config.service_time_jitter > 0
@@ -257,12 +246,6 @@ class FunctionRuntime:
                 raise final_error
             result.retries += 1
             delay = policy.delay(attempt, key=(function, invocation_id, index))
-            if self.telemetry.enabled:
-                self.telemetry.inc(
-                    "function.retries", 1.0,
-                    workflow=dag.name, function=function, node=worker.name,
-                    cause=cause_kind,
-                )
             if self.spans.enabled:
                 self.spans.event(
                     SpanKind.RETRY,
@@ -382,7 +365,7 @@ class FunctionRuntime:
         cold = container.invocations == 1
         if cold:
             result.cold_starts += 1
-        if spans.enabled or self.telemetry.enabled:
+        if spans.enabled:
             # Split the acquire wait into cold-start time (bounded by the
             # configured cold-start cost) and pure queueing for a slot.
             elapsed = self.env.now - acquire_start
@@ -392,12 +375,6 @@ class FunctionRuntime:
                 else 0.0
             )
             queue_time = elapsed - cold_time
-            if self.telemetry.enabled and queue_time > 1e-12:
-                self.telemetry.observe(
-                    "function.queue_wait_seconds", queue_time,
-                    workflow=dag.name, function=function, node=worker.name,
-                    resource="container",
-                )
         if spans.enabled:
             ctx = spans.context_of(invocation_id, function)
             if queue_time > 1e-12:
@@ -440,16 +417,6 @@ class FunctionRuntime:
             except Interrupt:
                 worker.cpu.cancel(cpu_request)
                 raise
-            if (
-                self.telemetry.enabled
-                and self.env.now - cpu_wait_start > 1e-12
-            ):
-                self.telemetry.observe(
-                    "function.queue_wait_seconds",
-                    self.env.now - cpu_wait_start,
-                    workflow=dag.name, function=function, node=worker.name,
-                    resource="cpu",
-                )
             if spans.enabled and self.env.now - cpu_wait_start > 1e-12:
                 spans.record(
                     SpanKind.QUEUE_WAIT,
@@ -481,12 +448,6 @@ class FunctionRuntime:
                 raise
             finally:
                 worker.cpu.release(cpu_request)
-                if self.telemetry.enabled:
-                    self.telemetry.observe(
-                        "function.execute_seconds", self.env.now - exec_start,
-                        workflow=dag.name, function=function,
-                        node=worker.name, status=status,
-                    )
                 if spans.enabled:
                     spans.record(
                         SpanKind.EXECUTE,

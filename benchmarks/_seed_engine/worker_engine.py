@@ -30,7 +30,6 @@ from repro.metrics import (
     MetricsCollector,
 )
 from repro.obs.spans import SpanKind
-from repro.obs.telemetry import record_invocation_metrics
 from repro.sim import Cluster, Node, Resource
 from repro.core.config import EngineConfig
 from repro.core.faastore import DataPolicy, FaaStorePolicy
@@ -43,7 +42,7 @@ from repro.core.faults import (
     TaskCancelled,
 )
 from .master_engine import static_critical_exec
-from .runtime import TELEMETRY_OFF, FunctionRuntime
+from .runtime import FunctionRuntime
 from repro.core.switching import is_skipped
 from .state import (
     InvocationID,
@@ -494,7 +493,6 @@ class FaaSFlowSystem:
         self.config = config or EngineConfig()
         self.tracer = tracer
         self.spans = cluster.spans
-        self.telemetry = TELEMETRY_OFF
         self.metrics = metrics if metrics is not None else MetricsCollector()
         if self.spans.enabled:
             self.metrics.spans = self.spans
@@ -694,10 +692,6 @@ class FaaSFlowSystem:
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(dag, invocation_id)
         self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.config.tenant, self.engine_label
-            )
         self.trace(
             Kind.INVOCATION_END, workflow, invocation_id, detail=record.status
         )
