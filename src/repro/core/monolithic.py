@@ -20,6 +20,7 @@ from ..dag import WorkflowDAG
 from ..metrics import InvocationRecord, InvocationStatus, MetricsCollector
 from ..obs.spans import SpanKind
 from ..sim import Cluster, Node
+from .config import EngineConfig
 from .state import InvocationState, new_invocation_id
 from .system import static_critical_exec
 
@@ -81,7 +82,10 @@ class MonolithicSystem:
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
             if root is not None:
-                self.spans.end(root, status=record.status)
+                self.spans.end(
+                    root, status=record.status,
+                    value=(record, EngineConfig.tenant, self.mode),
+                )
         return record
 
     def _run_function(
@@ -136,6 +140,7 @@ class MonolithicSystem:
                         function=function,
                         node=self.host.name,
                         parent=fn_span,
+                        value=duration,
                         producer=function,
                         size=node_meta.output_size,
                         local=True,

@@ -80,7 +80,7 @@ class SpanKind:
     RETRY = "retry"
 
 
-@dataclass(slots=True)
+@dataclass
 class Span:
     """One timed, attributed, causally-linked occurrence."""
 
@@ -291,13 +291,9 @@ class SpanTracer:
         self._contexts: dict[tuple[int, str], Span] = {}
 
     # -- recording -------------------------------------------------------
-    # The leading parameters are positional-only: CPython compares each
-    # ``**attrs`` keyword with every other parameter name on every call,
-    # and spans are recorded on the simulator's hot paths.
     def start(
         self,
         kind: str,
-        /,
         *,
         workflow: str = "",
         invocation_id: int = 0,
@@ -322,7 +318,7 @@ class SpanTracer:
         return span
 
     def end(
-        self, span: Span, /, status: str = "ok", value=None, **attrs
+        self, span: Span, status: str = "ok", value=None, **attrs
     ) -> Span:
         if span.end is not None:
             return span
@@ -340,7 +336,6 @@ class SpanTracer:
         kind: str,
         start: float,
         end: Optional[float] = None,
-        /,
         *,
         workflow: str = "",
         invocation_id: int = 0,
@@ -352,25 +347,24 @@ class SpanTracer:
         **attrs,
     ) -> Span:
         """Record a retrospective (already finished) span."""
-        # Positional: a keyword call costs a third more per span.
         span = Span(
-            next(self._ids),
-            None if parent is None else parent.span_id,
-            kind,
-            start,
-            self.env.now if end is None else end,
-            workflow,
-            invocation_id,
-            function,
-            node,
-            status,
-            attrs,
-            value,
+            span_id=next(self._ids),
+            parent_id=parent.span_id if parent is not None else None,
+            kind=kind,
+            start=start,
+            end=self.env.now if end is None else end,
+            workflow=workflow,
+            invocation_id=invocation_id,
+            function=function,
+            node=node,
+            status=status,
+            attrs=attrs,
+            value=value,
         )
         self._finish(span)
         return span
 
-    def event(self, kind: str, /, **kwargs) -> Span:
+    def event(self, kind: str, **kwargs) -> Span:
         """A zero-duration marker span at the current simulated time."""
         now = self.env.now
         return self.record(kind, now, now, **kwargs)

@@ -311,9 +311,9 @@ class MetricsRegistry:
         self.growth = float(growth)
         # (name, labels-tuple) -> (kind, labels-dict, instrument)
         self._instruments: dict[tuple, tuple] = {}
-        # (series tag, *label values) -> the bound inc/observe of each
-        # instrument that series feeds: see _adds.
-        self._series: dict[tuple, tuple] = {}
+        # (kind, name, label names, *label values) -> instrument: see
+        # _instrument.
+        self._series: dict[tuple, object] = {}
 
     def _window_index(self) -> int:
         return int(self.clock() // self.window)
@@ -335,38 +335,43 @@ class MetricsRegistry:
             )
         return entry[2]
 
+    def _instrument(
+        self, kind: str, name: str, label_names: tuple, values: tuple
+    ):
+        """The ``kind`` instrument ``name`` with ``label_names`` set to
+        ``values``: every emission looks its instrument up here.  Keyed
+        by the names and values in the caller's order, so a repeat
+        emission builds and sorts no label dict; a new key files the
+        instrument under its canonical :func:`metric_key`."""
+        key = (kind, name, label_names, *values)
+        instrument = self._series.get(key)
+        if instrument is None:
+            instrument = self._series[key] = self._get(
+                kind, name, dict(zip(label_names, values))
+            )
+        return instrument
+
     # -- instrument access ----------------------------------------------
     def counter(self, name: str, **labels) -> Counter:
-        return self._get("counter", name, labels)
+        return self._instrument(
+            "counter", name, tuple(labels), tuple(labels.values())
+        )
 
     def histogram(self, name: str, **labels) -> LogHistogram:
-        return self._get("histogram", name, labels)
+        return self._instrument(
+            "histogram", name, tuple(labels), tuple(labels.values())
+        )
 
     # -- emit shortcuts ---------------------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        self._get("counter", name, labels).inc(value, self._window_index())
+        self._instrument(
+            "counter", name, tuple(labels), tuple(labels.values())
+        ).inc(value, self._window_index())
 
     def observe(self, name: str, value: float, **labels) -> None:
-        self._get("histogram", name, labels).observe(
-            value, self._window_index()
-        )
-
-    def _adds(self, series: tuple, values: tuple) -> tuple:
-        """Bound ``inc``/``observe`` of each instrument ``series`` feeds,
-        labeled ``values``: keyed by the label values in the series'
-        fixed order, so a fold builds and sorts no label dict once its
-        series exist."""
-        key = (series[0], *values)
-        adds = self._series.get(key)
-        if adds is None:
-            labels = dict(zip(series[1], values))
-            adds = self._series[key] = tuple(
-                self._get(kind, name, labels).inc
-                if kind == "counter"
-                else self._get(kind, name, labels).observe
-                for kind, name in series[2:]
-            )
-        return adds
+        self._instrument(
+            "histogram", name, tuple(labels), tuple(labels.values())
+        ).observe(value, self._window_index())
 
     def fold(self, span) -> None:
         """Fold one finished span into the instruments it reports.
@@ -377,7 +382,7 @@ class MetricsRegistry:
         """
         fold = _FOLDS.get(span.kind)
         if fold is not None:
-            fold(self, span, int(self.clock() // self.window))
+            fold(self, span, self._window_index())
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
@@ -418,10 +423,10 @@ class MetricsRegistry:
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Merge telemetry snapshots in the given (deterministic) order.
 
-    Counters and histogram buckets add.  Merging per-trial snapshots in trial order performs
-    the identical float addition sequence no matter how many processes
-    produced them, which is what makes merged multi-trial telemetry the
-    same for any number of worker processes.
+    Counters and histogram buckets add.  Merging per-trial snapshots in
+    trial order performs the identical float addition sequence no matter
+    how many processes produced them, which is what makes merged
+    multi-trial telemetry the same for any number of worker processes.
     """
     snapshots = list(snapshots)
     window = DEFAULT_WINDOW
@@ -465,65 +470,68 @@ def _measured(span) -> float:
     return span.end - span.start if span.value is None else span.value
 
 
-# A series: a cache tag, the label names, then the (kind, name) of each
-# instrument one span of that shape feeds.
-_FUNCTION = ("workflow", "function", "node")
-_RETRIES = ("retry", (*_FUNCTION, "cause"), ("counter", "function.retries"))
-_QUEUE_WAIT = (
-    "queue-wait", (*_FUNCTION, "resource"),
-    ("histogram", "function.queue_wait_seconds"),
-)
-_EXECUTE = (
-    "execute", (*_FUNCTION, "status"),
-    ("histogram", "function.execute_seconds"),
-)
-_CONTAINER = {
-    lifecycle: (lifecycle, ("node", "function"), *metrics)
-    for lifecycle, *metrics in (
-        ("warm-reuse", ("counter", "container.warm_reuses")),
-        (
-            "cold-start", ("counter", "container.cold_starts"),
-            ("histogram", "container.cold_start_seconds"),
-        ),
-        ("crash", ("counter", "container.crashes")),
-        ("evict", ("counter", "container.evictions")),
-    )
-}
-_NET = (
-    "net", ("node", "kind"),
-    ("counter", "net.bytes"), ("counter", "net.transfers"),
-)
-_DATA = (
-    "data", ("workflow", "node", "phase", "local"),
-    ("counter", "data.bytes"), ("counter", "data.ops"),
-    ("histogram", "data.seconds"),
-)
-_SPILLS = ("spill", ("workflow", "node", "phase"), ("counter", "data.spills"))
-
-
 def _fold_invocation(registry: MetricsRegistry, span, window: int) -> None:
-    # Only engine roots carry an outcome; monolithic roots carry none.
+    # A root ended without an outcome (a bare tracer) reports nothing.
     if span.value is not None:
         record_invocation_metrics(registry, *span.value)
 
 
+def _fold_retry(registry: MetricsRegistry, span, window: int) -> None:
+    registry._instrument(
+        "counter", "function.retries",
+        ("workflow", "function", "node", "cause"),
+        (span.workflow, span.function, span.node, span.attrs["cause"]),
+    ).inc(1.0, window)
+
+
+def _fold_queue_wait(registry: MetricsRegistry, span, window: int) -> None:
+    registry._instrument(
+        "histogram", "function.queue_wait_seconds",
+        ("workflow", "function", "node", "resource"),
+        (span.workflow, span.function, span.node, span.attrs["resource"]),
+    ).observe(_measured(span), window)
+
+
+def _fold_execute(registry: MetricsRegistry, span, window: int) -> None:
+    registry._instrument(
+        "histogram", "function.execute_seconds",
+        ("workflow", "function", "node", "status"),
+        (span.workflow, span.function, span.node, span.status),
+    ).observe(_measured(span), window)
+
+
+_CONTAINER_COUNTERS = {
+    "warm-reuse": "container.warm_reuses",
+    "cold-start": "container.cold_starts",
+    "crash": "container.crashes",
+    "evict": "container.evictions",
+}
+
+
 def _fold_container(registry: MetricsRegistry, span, window: int) -> None:
-    adds = registry._adds(
-        _CONTAINER[span.attrs["lifecycle"]], (span.node, span.function)
-    )
-    adds[0](1.0, window)
-    if len(adds) > 1:  # a cold start also reports its duration
-        adds[1](_measured(span), window)
+    lifecycle = span.attrs["lifecycle"]
+    values = (span.node, span.function)
+    registry._instrument(
+        "counter", _CONTAINER_COUNTERS[lifecycle], ("node", "function"),
+        values,
+    ).inc(1.0, window)
+    if lifecycle == "cold-start":
+        registry._instrument(
+            "histogram", "container.cold_start_seconds",
+            ("node", "function"), values,
+        ).observe(_measured(span), window)
 
 
 def _fold_net(registry: MetricsRegistry, span, window: int) -> None:
     # Labeled by the sending node, which owns the transfer.
     attrs = span.attrs
-    add_bytes, add_transfer = registry._adds(
-        _NET, (span.node, attrs["transfer"])
-    )
-    add_bytes(attrs["size"], window)
-    add_transfer(1.0, window)
+    values = (span.node, attrs["transfer"])
+    registry._instrument(
+        "counter", "net.bytes", ("node", "kind"), values
+    ).inc(attrs["size"], window)
+    registry._instrument(
+        "counter", "net.transfers", ("node", "kind"), values
+    ).inc(1.0, window)
 
 
 def _fold_data(registry: MetricsRegistry, span, window: int) -> None:
@@ -532,36 +540,37 @@ def _fold_data(registry: MetricsRegistry, span, window: int) -> None:
         phase = "get"
     else:
         phase = "push" if attrs.get("eager") else "put"
-    add_bytes, add_op, add_seconds = registry._adds(
-        _DATA,
-        (
-            span.workflow, span.node, phase,
-            "local" if attrs["local"] else "remote",
-        ),
+    names = ("workflow", "node", "phase", "local")
+    values = (
+        span.workflow, span.node, phase,
+        "local" if attrs["local"] else "remote",
     )
-    add_bytes(attrs["size"], window)
-    add_op(1.0, window)
-    add_seconds(_measured(span), window)
+    registry._instrument("counter", "data.bytes", names, values).inc(
+        attrs["size"], window
+    )
+    registry._instrument("counter", "data.ops", names, values).inc(1.0, window)
+    registry._instrument("histogram", "data.seconds", names, values).observe(
+        _measured(span), window
+    )
+
+
+def _fold_spill(registry: MetricsRegistry, span, window: int) -> None:
+    registry._instrument(
+        "counter", "data.spills", ("workflow", "node", "phase"),
+        (span.workflow, span.node, span.attrs["phase"]),
+    ).inc(1.0, window)
 
 
 _FOLDS = {
     SpanKind.INVOCATION: _fold_invocation,
-    SpanKind.RETRY: lambda registry, s, window: registry._adds(
-        _RETRIES, (s.workflow, s.function, s.node, s.attrs["cause"])
-    )[0](1.0, window),
-    SpanKind.QUEUE_WAIT: lambda registry, s, window: registry._adds(
-        _QUEUE_WAIT, (s.workflow, s.function, s.node, s.attrs["resource"])
-    )[0](_measured(s), window),
-    SpanKind.EXECUTE: lambda registry, s, window: registry._adds(
-        _EXECUTE, (s.workflow, s.function, s.node, s.status)
-    )[0](_measured(s), window),
+    SpanKind.RETRY: _fold_retry,
+    SpanKind.QUEUE_WAIT: _fold_queue_wait,
+    SpanKind.EXECUTE: _fold_execute,
     SpanKind.CONTAINER: _fold_container,
     SpanKind.NET: _fold_net,
     SpanKind.PUT: _fold_data,
     SpanKind.GET: _fold_data,
-    SpanKind.SPILL: lambda registry, s, window: registry._adds(
-        _SPILLS, (s.workflow, s.node, s.attrs["phase"])
-    )[0](1.0, window),
+    SpanKind.SPILL: _fold_spill,
 }
 
 

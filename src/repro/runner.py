@@ -115,11 +115,8 @@ def run_workflow(
         from .obs import SpanTracer
 
         # Must precede system construction: engines snapshot
-        # cluster.spans when they are built.  The registry joins the
-        # tracer once the feedback bootstrap is over (below); until then
-        # a tracer without the ring has no sink and builds no spans.
-        tracer = SpanTracer(env, retain=retain)
-        tracer.enabled = retain
+        # cluster.spans when they are built.
+        tracer = SpanTracer(env, retain=retain, telemetry=registry)
         cluster.install_spans(tracer)
     sampler = None
     if trace_out is not None:
@@ -158,11 +155,10 @@ def run_workflow(
                 container_limits=scheduler.container_limits(dag),
             )
             system.metrics.clear()
-    if tracer is not None:
-        # The feedback bootstrap is calibration, not load: telemetry
-        # folds only what follows it.
-        tracer.telemetry = registry
-        tracer.enabled = True
+            if registry is not None:
+                # The feedback bootstrap is calibration, not load: drop
+                # its telemetry along with its collector records.
+                registry.clear()
     if prewarm:
         # Let the prewarmed containers finish booting before load starts.
         env.run(until=env.now + cluster.config.container.cold_start_time + 0.01)

@@ -395,17 +395,21 @@ class Network:
             pair_bytes[pair] += size
         except KeyError:
             pair_bytes[pair] = size
-        if self.spans.enabled:
-            # Contention-induced slowdown: actual wire time over the
-            # uncontended time the same bytes would have taken.
-            actual = self.env.now - started
-            if src is dst:
-                ideal = size / self.config.local_copy_rate
-            else:
-                ideal = self.config.latency + size / min(
-                    src.bandwidth, dst.bandwidth
-                )
-            self.spans.record(
+        spans = self.spans
+        if spans.enabled:
+            slowdown = None  # only the ring reads it
+            if spans.retain:
+                # Contention-induced slowdown: actual wire time over the
+                # uncontended time the same bytes would have taken.
+                actual = self.env.now - started
+                if src is dst:
+                    ideal = size / self.config.local_copy_rate
+                else:
+                    ideal = self.config.latency + size / min(
+                        src.bandwidth, dst.bandwidth
+                    )
+                slowdown = round(actual / ideal, 4) if ideal > 0 else 1.0
+            spans.record(
                 SpanKind.NET,
                 started,
                 self.env.now,
@@ -414,7 +418,7 @@ class Network:
                 dst=dst.name,
                 size=size,
                 tag=tag,
-                slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
+                slowdown=slowdown,
             )
         if len(self.records) < self.config.record_limit:
             self.records.add(

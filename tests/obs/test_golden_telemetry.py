@@ -12,7 +12,10 @@ these pins alone unless it changes the facts on purpose.
 
 The ``faasflow-trace slo`` report of one run is pinned as text, and a
 run with span retention on must fold exactly the telemetry-only
-snapshot.
+snapshot.  Fig. 5's two clusters (the monolithic baseline and the FaaS
+deployment) are pinned as ``faasflow-experiment fig05 --telemetry-out``
+writes them; the monolithic baseline reports like an engine, with
+``workflow.*`` series labeled ``engine=monolithic``.
 """
 
 import hashlib
@@ -20,10 +23,20 @@ import json
 
 import pytest
 
-from repro.core import ENGINES
+from repro.clients import run_closed_loop
+from repro.core import ENGINES, MonolithicSystem
 from repro.core.state import reset_invocation_ids
+from repro.experiments import fig05_data_movement
+from repro.experiments.common import make_cluster
+from repro.obs import SpanTracer
 from repro.obs.cli import main as trace_main
-from repro.obs.telemetry import validate_snapshot, write_telemetry_json
+from repro.obs.context import TraceCollector, activate, deactivate
+from repro.obs.telemetry import (
+    MetricsRegistry,
+    find_metrics,
+    validate_snapshot,
+    write_telemetry_json,
+)
 from repro.runner import run_workflow
 from repro.workloads.registry import build
 
@@ -57,6 +70,12 @@ DIGESTS = {
     "worker-word-count-failures":
         "82ac2551ee9d1ca67dd65f2a1ffcd00411e0251b3f866b3b2411cf65dfd83c70",
 }
+
+# fig05 on video-ffmpeg: the monolithic cluster, then the FaaS one.
+FIG05_DIGESTS = [
+    "fcfc2c6bfd0e3fe288ae1231c39b73ef83952992db5811136c79a3fddd63c73e",
+    "fde9b95fbc466dec105792bc3ecdfecdf5d34e5a3e81a935f2dc18ad0d046b65",
+]
 
 # Every metric the pinned runs produce, across all of them.
 REACHED = {
@@ -169,3 +188,46 @@ def test_slo_report_text(snapshots, tmp_path, capsys):
     )
     assert trace_main(["slo", str(tmp_path), "--latency-target", "2.0"]) == 0
     assert capsys.readouterr().out == SLO_TEXT
+
+
+def _fig05_snapshots(tmp_path, spans: bool) -> list[dict]:
+    collector = TraceCollector(tmp_path, spans=spans, telemetry=True)
+    activate(collector)
+    try:
+        reset_invocation_ids(1)
+        fig05_data_movement.run(["video-ffmpeg"])
+    finally:
+        deactivate()
+    return [
+        json.loads(path.read_text())
+        for path in collector.flush()
+        if path.name.endswith("-telemetry.json")
+    ]
+
+
+def test_fig05_snapshot_digests(tmp_path):
+    snapshots = _fig05_snapshots(tmp_path / "telemetry", spans=False)
+    assert [_digest(s) for s in snapshots] == FIG05_DIGESTS
+    mono = snapshots[0]
+    assert validate_snapshot(mono) == []
+    assert find_metrics(mono, "workflow.invocations", engine="monolithic")
+    assert find_metrics(mono, "data.seconds", phase="put", local="local")
+    both = _fig05_snapshots(tmp_path / "both", spans=True)
+    assert [_digest(s) for s in both] == FIG05_DIGESTS
+
+
+def test_monolithic_data_seconds_is_the_measured_duration():
+    cluster = make_cluster(workers=1)
+    env = cluster.env
+    registry = MetricsRegistry(clock=lambda: env.now)
+    cluster.install_spans(SpanTracer(env, retain=False, telemetry=registry))
+    mono = MonolithicSystem(cluster)
+    mono.register(build("video-ffmpeg"))
+    run_closed_loop(mono, "video-ffmpeg", 2)
+    (entry,) = find_metrics(registry.snapshot(), "data.seconds")
+    durations = [t.duration for t in mono.metrics.transfers]
+    assert entry["count"] == len(durations) > 0
+    total = 0.0
+    for duration in durations:
+        total += duration
+    assert entry["sum"] == total

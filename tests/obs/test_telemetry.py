@@ -155,11 +155,32 @@ class TestRegistry:
             "m", {"b": 2, "a": 1}
         )
 
+    def test_emission_label_order_is_irrelevant(self):
+        reg = MetricsRegistry()
+        reg.inc("hits", 1.0, node="a", phase="put")
+        reg.inc("hits", 2.0, phase="put", node="a")
+        reg.inc("hits", 4.0, node="a", phase="put")
+        assert len(reg) == 1
+        assert reg.counter("hits", phase="put", node="a").total == 7.0
+
     def test_kind_mismatch_rejected(self):
         reg = MetricsRegistry()
         reg.inc("m", 1.0)
         with pytest.raises(ValueError):
             reg.observe("m", 1.0)
+
+    def test_emission_after_clear_or_merge_reaches_the_registry(self):
+        reg = MetricsRegistry()
+        reg.inc("m", 1.0, node="a")
+        reg.clear()
+        reg.inc("m", 2.0, node="a")
+        (entry,) = reg.snapshot()["metrics"]
+        assert entry["total"] == 2.0
+        other = MetricsRegistry()
+        other.merge_snapshot(reg.snapshot())
+        other.inc("m", 3.0, node="a")
+        (entry,) = other.snapshot()["metrics"]
+        assert entry["total"] == 5.0
 
     def test_simulated_clock_windows(self):
         now = {"t": 0.0}
